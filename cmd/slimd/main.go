@@ -1,11 +1,11 @@
-// Command slimd serves SLIM linkage as a long-running sharded HTTP
-// service: records stream in over JSON, a debounced background scheduler
-// re-links the dirty shards, and the current links are queryable at any
-// time. See DESIGN.md for the API and curl examples.
+// Command slimd serves SLIM linkage as a long-running HTTP service:
+// records stream in over JSON or the binary ingest plane, a debounced
+// background scheduler re-links them, and the current links are
+// queryable at any time. See DESIGN.md for the API and curl examples.
 //
 // Usage:
 //
-//	slimd [-addr :8080] [-shards 4] [-debounce 2s] [-e seed.csv -i seed.csv]
+//	slimd [-addr :8080] [-debounce 2s] [-e seed.csv -i seed.csv]
 //	      [-data-dir ./data] [-fsync-interval 2ms] [-snapshot-every 8]
 //	      [-ingest-queue-depth 262144] [-ingest-shed-after 10s]
 //	      [-max-ingest-body 16777216] [-debug-addr localhost:6060]
@@ -25,7 +25,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -58,9 +57,8 @@ func fatal(logger *slog.Logger, msg string, args ...any) {
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
-		debugAddr  = flag.String("debug-addr", "", "optional debug listen address serving net/http/pprof, expvar, and /metrics (e.g. localhost:6060)")
+		debugAddr  = flag.String("debug-addr", "", "optional debug listen address serving net/http/pprof, /metrics, /v1/stats, /v1/explain and /v1/runs (e.g. localhost:6060)")
 		logFormat  = flag.String("log-format", "text", "log output format: text | json")
-		shards     = flag.Int("shards", 4, "number of linker shards")
 		debounce   = flag.Duration("debounce", 2*time.Second, "quiet period after ingest before a background relink")
 		runJournal = flag.Int("run-journal", engine.DefaultRunJournal, "relink flight-recorder size: how many recent runs GET /v1/runs retains")
 		ePath      = flag.String("e", "", "optional seed CSV for the first dataset")
@@ -82,7 +80,7 @@ func main() {
 		maxSpeed     = flag.Float64("max-speed", 2, "maximum entity speed in km/min (runaway bound)")
 		b            = flag.Float64("b", 0.5, "history-length normalization strength [0,1]")
 		minRecords   = flag.Int("min-records", 5, "drop seed entities with <= this many records")
-		workers      = flag.Int("workers", 0, "scoring goroutines per shard (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "scoring goroutines (0 = GOMAXPROCS)")
 		matcher      = flag.String("matcher", "greedy", "matching algorithm: greedy | hungarian")
 		thresholdM   = flag.String("threshold", "gmm", "stop threshold: gmm | otsu | 2means | none")
 		useLSH       = flag.Bool("lsh", false, "enable the LSH candidate filter")
@@ -156,7 +154,6 @@ func main() {
 	}
 
 	engCfg := engine.Config{
-		Shards:     *shards,
 		Link:       cfg,
 		Debounce:   *debounce,
 		Registry:   registry,
@@ -274,53 +271,16 @@ func main() {
 	}
 	srv.SetReady()
 
-	// Optional debug endpoint: pprof profiles plus expvar counters
-	// (engine, candidate index, and — when durable — storage), so a live
-	// service's candidate-index behavior is observable without touching
-	// the serving address. Both packages register on the default mux.
+	// Optional debug endpoint: pprof profiles (registered on the default
+	// mux by the net/http/pprof import) next to the read-only service
+	// surfaces, so a live service is observable without touching the
+	// serving address.
 	if *debugAddr != "" {
-		expvar.Publish("slim_engine", expvar.Func(func() any { return eng.Stats() }))
-		// slim_relink is the incremental-savings odometer: cumulative
-		// pair-level delta counters (retained = scoring work avoided) plus
-		// the short-circuited fully-clean relinks, kept as a small flat map
-		// so dashboards can scrape it without digging through slim_engine.
-		expvar.Publish("slim_relink", expvar.Func(func() any {
-			st := eng.Stats()
-			return map[string]uint64{
-				"pairs_rescored_total":  st.EdgeRescoredTotal,
-				"pairs_retained_total":  st.EdgeRetainedTotal,
-				"pairs_dropped_total":   st.EdgeDroppedTotal,
-				"runs_short_circuited":  st.RunsShortCircuited,
-				"runs_total":            st.Runs,
-				"dirty_shards_last_run": uint64(st.DirtyShardsLastRun),
-			}
-		}))
-		// slim_ingest is the backpressure odometer: queue occupancy and
-		// accept/shed counters for both ingest planes, flat for scraping.
-		expvar.Publish("slim_ingest", expvar.Func(func() any {
-			ist := plane.Stats()
-			return map[string]any{
-				"queue_depth":      ist.QueueDepth,
-				"shed_after_ms":    float64(ist.ShedAfter.Microseconds()) / 1000,
-				"inflight_records": ist.InflightRecords,
-				"pending_records":  ist.PendingRecords,
-				"oldest_wait_ms":   float64(ist.OldestWait.Microseconds()) / 1000,
-				"accepted_batches": ist.AcceptedBatches,
-				"accepted_records": ist.AcceptedRecords,
-				"shed_requests":    ist.ShedRequests,
-				"shed_records":     ist.ShedRecords,
-				"shed_queue_depth": ist.ShedQueueDepth,
-				"shed_latency":     ist.ShedLatency,
-			}
-		}))
-		if store != nil {
-			expvar.Publish("slim_storage", expvar.Func(func() any { return store.Stats() }))
-		}
-		// The Prometheus exposition rides the debug mux too, so operators
-		// scraping only the debug port see the same registry as /metrics on
-		// the serving address — and so do the provenance endpoints, so a
-		// link can be explained without touching the serving port.
+		// The Prometheus exposition, the stats document and the provenance
+		// endpoints ride the debug mux, so operators watching only the debug
+		// port see the same state as the serving address.
 		http.DefaultServeMux.Handle("GET /metrics", registry.Handler())
+		http.DefaultServeMux.Handle("GET /v1/stats", srv.StatsHandler())
 		http.DefaultServeMux.Handle("GET /v1/explain", srv.ExplainHandler())
 		http.DefaultServeMux.Handle("GET /v1/runs", srv.RunsHandler())
 		dln, err := net.Listen("tcp", *debugAddr)
@@ -328,7 +288,7 @@ func main() {
 			fatal(logger, "debug listen failed", "addr", *debugAddr, "error", err)
 		}
 		logger.Info("debug server listening", "addr", dln.Addr().String(),
-			"endpoints", "/debug/pprof/ /debug/vars /metrics")
+			"endpoints", "/debug/pprof/ /metrics /v1/stats /v1/explain /v1/runs")
 		go func() {
 			dbg := &http.Server{
 				Handler:           http.DefaultServeMux,
@@ -368,7 +328,6 @@ func main() {
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	logger.Info("listening",
 		"addr", ln.Addr().String(),
-		"shards", eng.NumShards(),
 		"spatial_level", eng.SpatialLevel(),
 		"debounce", *debounce)
 

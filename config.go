@@ -121,9 +121,7 @@ func Defaults() Config {
 
 // Normalized returns a copy of the configuration with unset fields filled
 // with defaults and all ranges validated — the effective configuration a
-// linkage will run with. Engines that partition one logical linkage across
-// several Linkers resolve the configuration once with Normalized and hand
-// the same copy to every shard.
+// linkage will run with.
 func (c Config) Normalized() (Config, error) {
 	if err := c.normalize(); err != nil {
 		return Config{}, err

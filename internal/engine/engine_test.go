@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"slim"
+	"slim/internal/fault"
 )
 
 // standardWorkload mirrors the repo's standard datagen benchmark workload
@@ -44,37 +47,129 @@ func sortLinks(ls []slim.Link) {
 	})
 }
 
-// TestEngineQualityMatchesBaseline links the standard workload with the
-// sharded engine and with a single Linker and verifies the engine's
-// quality is not materially worse despite shard-local E-side statistics.
+// TestEngineQualityMatchesBaseline is the engine's exactness gate: the
+// published result must equal slim.LinkDatasets over the same records,
+// bit for bit (math.Float64bits scores, same threshold), at seed, after
+// time-ordered E+I bursts that bring new bins and new entities, after an
+// I-only burst, and after a contained panic at every Fault* site of the
+// relink path.
 func TestEngineQualityMatchesBaseline(t *testing.T) {
 	w := standardWorkload(24)
 	cfg := slim.Defaults()
+	lo, hi, _ := w.E.TimeRange()
+	cut := lo + (hi-lo)*3/4
 
-	base, err := slim.LinkDatasets(w.E, w.I, cfg)
+	// The seed holds every record before the cut except those of a few
+	// held-out entities, which first appear in the stream; after the cut
+	// both sides replay in time order.
+	held := map[slim.EntityID]bool{}
+	for _, d := range []slim.Dataset{w.E, w.I} {
+		kept := d.FilterMinRecords(cfg.MinRecords)
+		for _, id := range kept.Entities()[:2] {
+			held[id] = true
+		}
+	}
+	seed := func(d slim.Dataset) slim.Dataset {
+		out := slim.Dataset{Name: d.Name}
+		for _, r := range d.Records {
+			if r.Unix < cut && !held[r.Entity] {
+				out.Records = append(out.Records, r)
+			}
+		}
+		return out.FilterMinRecords(cfg.MinRecords)
+	}
+	seedE, seedI := seed(w.E), seed(w.I)
+	_, streamE := splitByTime(w.E, cut)
+	_, streamI := splitByTime(w.I, cut)
+	sortByTime := func(rs []slim.Record) {
+		sort.SliceStable(rs, func(i, j int) bool { return rs[i].Unix < rs[j].Unix })
+	}
+	sortByTime(streamE)
+	sortByTime(streamI)
+
+	inj := fault.New()
+	eng, err := New(seedE, seedI, Config{Link: cfg, Debounce: time.Hour, Fault: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(w.E, w.I, Config{Shards: 4, Link: cfg})
-	if err != nil {
-		t.Fatal(err)
+	defer eng.Close()
+	givenE, givenI := slices.Clone(seedE.Records), slices.Clone(seedI.Records)
+	check := func(step string, res slim.Result) {
+		t.Helper()
+		// Every entity the engine holds must survive LinkDatasets' seed
+		// filter too, or the two would not be linking the same records.
+		counts := map[slim.EntityID]int{}
+		for _, r := range append(slices.Clone(givenE), givenI...) {
+			counts[r.Entity]++
+		}
+		for id, n := range counts {
+			if n <= cfg.MinRecords {
+				t.Fatalf("%s: fixture streams entity %s with only %d records", step, id, n)
+			}
+		}
+		want, err := slim.LinkDatasets(slim.Dataset{Name: "E", Records: givenE},
+			slim.Dataset{Name: "I", Records: givenI}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Links) == 0 {
+			t.Fatalf("%s: baseline produced no links", step)
+		}
+		requireBitIdenticalLinks(t, step+" (matched)", res.Matched, want.Matched)
+		requireBitIdenticalLinks(t, step, res.Links, want.Links)
+		if math.Float64bits(res.Threshold) != math.Float64bits(want.Threshold) {
+			t.Fatalf("%s: threshold %v, want %v", step, res.Threshold, want.Threshold)
+		}
+		if res.Stats.CandidatePairs != want.Stats.CandidatePairs {
+			t.Fatalf("%s: candidate pairs %d, want %d", step, res.Stats.CandidatePairs, want.Stats.CandidatePairs)
+		}
 	}
-	res := eng.Run()
+	check("seed", eng.Run())
 
-	if len(res.Links) == 0 {
-		t.Fatal("engine produced no links")
+	// Time-ordered E+I bursts: the first brings the held-out entities,
+	// every one brings new bins.
+	const bursts = 3
+	for b := 0; b < bursts; b++ {
+		e := streamE[b*len(streamE)/bursts : (b+1)*len(streamE)/bursts]
+		i := streamI[b*len(streamI)/bursts : (b+1)*len(streamI)/bursts]
+		eng.AddE(e...)
+		eng.AddI(i...)
+		givenE, givenI = append(givenE, e...), append(givenI, i...)
+		res := eng.Run()
+		if !res.Stats.EdgeStore.FullRescore {
+			t.Fatalf("burst %d brought new bins but took the delta path", b)
+		}
+		check(fmt.Sprintf("E+I burst %d", b), res)
 	}
-	mBase := slim.Evaluate(base.Links, w.Truth)
-	mEng := slim.Evaluate(res.Links, w.Truth)
-	t.Logf("baseline F1=%.3f engine F1=%.3f (links %d vs %d)",
-		mBase.F1, mEng.F1, len(base.Links), len(res.Links))
-	if mEng.F1 < mBase.F1-0.15 {
-		t.Errorf("engine F1 %.3f much worse than baseline %.3f", mEng.F1, mBase.F1)
+
+	// An I-only burst: re-observations plus one record in a new cell.
+	iOnly := slices.Clone(givenI[:40])
+	moved := givenI[len(givenI)-1]
+	moved.LatLng.Lat += 0.5
+	iOnly = append(iOnly, moved)
+	eng.AddI(iOnly...)
+	givenI = append(givenI, iOnly...)
+	check("I-only burst", eng.Run())
+
+	// A contained panic at each relink fault site republishes the previous
+	// result; the recovery run must still equal the from-scratch linkage.
+	for k, site := range []string{FaultApply, FaultRescore, FaultRelink} {
+		r := givenE[k*7]
+		r.LatLng.Lng += 0.3
+		eng.AddE(r)
+		givenE = append(givenE, r)
+		inj.Arm(site, fault.Rule{Panic: "injected " + site, Count: 1})
+		before, v, _ := eng.Result()
+		if got := eng.Run(); !slices.Equal(got.Links, before.Links) {
+			t.Fatalf("%s: panicked run did not republish the previous result", site)
+		}
+		if _, v2, _ := eng.Result(); v2 != v {
+			t.Fatalf("%s: panicked run bumped the version %d -> %d", site, v, v2)
+		}
+		check("recovery after "+site, eng.Run())
 	}
-	// The merged candidate workload must cover the full cross product.
-	if res.Stats.CandidatePairs != base.Stats.CandidatePairs {
-		t.Errorf("candidate pairs: engine %d, baseline %d",
-			res.Stats.CandidatePairs, base.Stats.CandidatePairs)
+	if st := eng.Stats(); st.RelinkPanics != 3 {
+		t.Fatalf("RelinkPanics = %d, want 3", st.RelinkPanics)
 	}
 }
 
@@ -93,7 +188,7 @@ func TestEngineIncrementalMatchesFullLoad(t *testing.T) {
 	inc, err := New(
 		slim.Dataset{Name: "E", Records: beforeE},
 		slim.Dataset{Name: "I", Records: beforeI},
-		Config{Shards: 4, Link: cfg},
+		Config{Link: cfg},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +198,7 @@ func TestEngineIncrementalMatchesFullLoad(t *testing.T) {
 	inc.AddI(afterI...)
 	streamed := inc.Run()
 
-	full, err := New(w.E, w.I, Config{Shards: 4, Link: cfg})
+	full, err := New(w.E, w.I, Config{Link: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,41 +217,6 @@ func TestEngineIncrementalMatchesFullLoad(t *testing.T) {
 	}
 }
 
-// TestEngineDirtyShardTracking verifies that ingest only dirties the
-// owning shard (E side) or all shards (I side), and that clean shards
-// reuse cached edges across runs.
-func TestEngineDirtyShardTracking(t *testing.T) {
-	w := standardWorkload(20)
-	eng, err := New(w.E, w.I, Config{Shards: 4, Link: slim.Defaults()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if st := eng.Stats(); st.DirtyShards != 0 {
-		t.Fatalf("dirty shards after run: %d", st.DirtyShards)
-	}
-
-	// One E record dirties exactly its owning shard.
-	u := eng.shards[0].lk.EntitiesE()
-	for s := 1; s < len(eng.shards) && len(u) == 0; s++ {
-		u = eng.shards[s].lk.EntitiesE()
-	}
-	if len(u) == 0 {
-		t.Fatal("no entities in any shard")
-	}
-	eng.AddE(slim.NewRecord(u[0], 37.7, -122.4, 1_300_000))
-	if st := eng.Stats(); st.DirtyShards != 1 {
-		t.Errorf("dirty shards after one E record: %d, want 1", st.DirtyShards)
-	}
-	eng.Run()
-
-	// One I record dirties every shard (I is replicated).
-	eng.AddI(slim.NewRecord("brand-new-i", 37.7, -122.4, 1_300_000))
-	if st := eng.Stats(); st.DirtyShards != 4 {
-		t.Errorf("dirty shards after one I record: %d, want 4", st.DirtyShards)
-	}
-}
-
 // TestEngineEmptyStartAndBackgroundRelink boots an empty engine, streams
 // three linkable pairs through it, and waits for the debounced background
 // scheduler to publish the linkage without any manual Run call.
@@ -172,7 +232,7 @@ func TestEngineEmptyStartAndBackgroundRelink(t *testing.T) {
 	cfg := slim.Defaults()
 	cfg.Threshold = slim.ThresholdNone // tiny instance: keep the full matching
 	eng, err := New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		Config{Shards: 4, Link: cfg, Debounce: 20 * time.Millisecond})
+		Config{Link: cfg, Debounce: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +282,7 @@ func TestEngineConcurrentIngestWhileRun(t *testing.T) {
 	eng, err := New(
 		slim.Dataset{Name: "E", Records: beforeE},
 		slim.Dataset{Name: "I", Records: beforeI},
-		Config{Shards: 4, Link: slim.Defaults(), Debounce: time.Millisecond},
+		Config{Link: slim.Defaults(), Debounce: time.Millisecond},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -270,97 +330,13 @@ func TestEngineConcurrentIngestWhileRun(t *testing.T) {
 		t.Fatal("no links after concurrent ingest")
 	}
 	st := eng.Stats()
-	if st.PendingRecords != 0 || st.DirtyShards != 0 {
+	if st.PendingRecords != 0 {
 		t.Errorf("engine not clean after final run: %+v", st)
 	}
 	if st.IngestedE != uint64(len(afterE)) || st.IngestedI != uint64(len(afterI)) {
 		t.Errorf("ingest counters %d/%d, want %d/%d",
 			st.IngestedE, st.IngestedI, len(afterE), len(afterI))
 	}
-}
-
-// TestShardedRelinkSpeedup measures the engine's headline property: after
-// a localized ingest burst, a 4-shard engine re-links by re-scoring only
-// the dirty shard and must beat a single Linker's full re-run by >= 1.5x
-// wall-clock on the standard datagen workload. The burst is split into
-// three sub-bursts and the ratio taken over median relink times, so one
-// scheduler hiccup on a loaded CI machine cannot flip the gate.
-func TestShardedRelinkSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test; skipped in -short")
-	}
-	baseE, baseI, tail := relinkFixture(32)
-	cfg := slim.Defaults()
-
-	// Contiguous thirds, preserving record order: every sub-burst brings
-	// records its entities have not seen (new bins), so the single Linker
-	// pays a full rescore each time — the exact cost the engine's
-	// dirty-shard isolation is gated against. A shuffled split could make
-	// a later sub-burst weight-only, where both sides take equally cheap
-	// pair-level delta paths and the ratio would measure nothing.
-	var chunks [][]slim.Record
-	for i := 0; i < 3; i++ {
-		chunks = append(chunks, tail[i*len(tail)/3:(i+1)*len(tail)/3])
-	}
-
-	lk, err := slim.NewLinker(baseE, baseI, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lk.Run()
-	var baseDurs []time.Duration
-	for _, chunk := range chunks {
-		t0 := time.Now()
-		lk.AddE(chunk...)
-		lk.Run()
-		baseDurs = append(baseDurs, time.Since(t0))
-	}
-
-	eng, err := New(baseE, baseI, Config{Shards: 4, Link: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	var engDurs []time.Duration
-	for _, chunk := range chunks {
-		t1 := time.Now()
-		eng.AddE(chunk...)
-		eng.Run()
-		engDurs = append(engDurs, time.Since(t1))
-	}
-
-	med := func(ds []time.Duration) time.Duration {
-		s := append([]time.Duration(nil), ds...)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		return s[len(s)/2]
-	}
-	baseDur, engDur := med(baseDurs), med(engDurs)
-	speedup := float64(baseDur) / float64(engDur)
-	t.Logf("relink after localized burst: single-linker median %v %v, 4-shard engine median %v %v (%.2fx)",
-		baseDur, baseDurs, engDur, engDurs, speedup)
-	if speedup < 1.5 {
-		t.Errorf("sharded relink speedup %.2fx < 1.5x", speedup)
-	}
-}
-
-// relinkFixture builds the streaming-relink scenario shared by the
-// speedup test and the benchmarks: the standard workload split into a
-// bulk-loaded head plus a tail burst of E records that all belong to one
-// shard of a 4-shard engine (a localized update, the common case for a
-// service where only some users are active between relinks).
-func relinkFixture(taxis int) (baseE, baseI slim.Dataset, tail []slim.Record) {
-	w := standardWorkload(taxis)
-	lo, _, _ := w.E.TimeRange()
-	cut := lo + 130000
-	beforeE, afterE := splitByTime(w.E, cut)
-	for _, r := range afterE {
-		if shardOf(r.Entity, 4) == 0 {
-			tail = append(tail, r)
-		}
-	}
-	baseE = slim.Dataset{Name: "E", Records: beforeE}
-	baseI = w.I
-	return baseE, baseI, tail
 }
 
 // TestEngineCloseIdempotentAndRaced is the lifecycle -race gate: Close
@@ -380,7 +356,7 @@ func TestEngineCloseIdempotentAndRaced(t *testing.T) {
 	cfg := slim.Defaults()
 	cfg.Threshold = slim.ThresholdNone
 	eng, err := New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		Config{Shards: 2, Link: cfg, Debounce: time.Microsecond})
+		Config{Link: cfg, Debounce: time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,13 +403,13 @@ func TestEngineCloseIdempotentAndRaced(t *testing.T) {
 }
 
 // TestEngineRunShortCircuitsWhenClean is the regression gate for the
-// fully-clean fast path: a Run with no dirty shard and nothing pending
+// fully-clean fast path: a Run with nothing pending
 // must republish the previous result without re-matching (version
 // unchanged, persister not re-notified), and the next real ingest must
 // take the full path again.
 func TestEngineRunShortCircuitsWhenClean(t *testing.T) {
 	w := standardWorkload(16)
-	eng, err := New(w.E, w.I, Config{Shards: 4, Link: slim.Defaults()})
+	eng, err := New(w.E, w.I, Config{Link: slim.Defaults()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +432,7 @@ func TestEngineRunShortCircuitsWhenClean(t *testing.T) {
 		t.Fatalf("short-circuited run diverged: %d vs %d links", len(second.Links), len(first.Links))
 	}
 	st := eng.Stats()
-	if st.RunsShortCircuited != 1 || st.Runs != 2 || st.DirtyShardsLastRun != 0 {
+	if st.RunsShortCircuited != 1 || st.Runs != 2 {
 		t.Fatalf("short-circuit counters: %+v", st)
 	}
 	// A short-circuited run did no edge-store work: the last-* mirror
@@ -467,9 +443,9 @@ func TestEngineRunShortCircuitsWhenClean(t *testing.T) {
 	}
 
 	// Real ingest resumes the full path and notifies the persister. A
-	// duplicate of an existing record is weight-only churn, so the dirty
-	// shard's edge store must take the pair-level delta path (retained
-	// pairs, no full rescore) while clean shards contribute zero work.
+	// duplicate of an existing record is weight-only churn, so the edge
+	// store must take the pair-level delta path (retained pairs, no full
+	// rescore).
 	eng.AddE(w.E.Records[0])
 	third := eng.Run()
 	_, v3, _ := eng.Result()
@@ -483,8 +459,8 @@ func TestEngineRunShortCircuitsWhenClean(t *testing.T) {
 	if es.FullRescore || es.Retained == 0 || es.Rescored == 0 {
 		t.Fatalf("weight-only burst did not take the delta path: %+v", es)
 	}
-	if es.Rescored+es.Retained >= third.Stats.CandidatePairs {
-		t.Fatalf("delta run rescanned every candidate: rescored %d + retained %d vs %d total (clean shards must contribute zero work)",
+	if es.Rescored >= third.Stats.CandidatePairs || es.Rescored+es.Retained != third.Stats.CandidatePairs {
+		t.Fatalf("delta run must rescore a strict subset and retain the rest: rescored %d + retained %d vs %d total",
 			es.Rescored, es.Retained, third.Stats.CandidatePairs)
 	}
 	st = eng.Stats()
@@ -548,7 +524,7 @@ func TestEnginePersisterContract(t *testing.T) {
 	cfg := slim.Defaults()
 	cfg.Threshold = slim.ThresholdNone
 	eng, err := New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
-		Config{Shards: 2, Link: cfg})
+		Config{Link: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,10 +549,9 @@ func TestEnginePersisterContract(t *testing.T) {
 	if st.IngestedE != 20 {
 		t.Fatalf("rejected batch counted as ingested: %d", st.IngestedE)
 	}
-	// 20 E + 20 I (counted once per shard, 2 shards) = 60; the rejected
-	// 5-record batch must not appear.
-	if eng.Pending() != 60 {
-		t.Fatalf("rejected batch buffered: pending=%d, want 60", eng.Pending())
+	// 20 E + 20 I = 40; the rejected 5-record batch must not appear.
+	if eng.Pending() != 40 {
+		t.Fatalf("rejected batch buffered: pending=%d, want 40", eng.Pending())
 	}
 
 	eng.Run()
@@ -586,7 +561,7 @@ func TestEnginePersisterContract(t *testing.T) {
 }
 
 // TestEngineConcurrentIngestWithLSHIndex is the -race gate for the
-// incremental candidate index: every shard maintains its index under
+// incremental candidate index: the linker maintains its index under
 // concurrent AddE/AddI + Run + Stats traffic, and the final relink must
 // match a from-scratch engine built over the union datasets (the engine-
 // level version of the candidates parity suite).
@@ -602,7 +577,7 @@ func TestEngineConcurrentIngestWithLSHIndex(t *testing.T) {
 	eng, err := New(
 		slim.Dataset{Name: "E", Records: beforeE},
 		slim.Dataset{Name: "I", Records: beforeI},
-		Config{Shards: 4, Link: cfg, Debounce: time.Millisecond},
+		Config{Link: cfg, Debounce: time.Millisecond},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -650,7 +625,7 @@ func TestEngineConcurrentIngestWithLSHIndex(t *testing.T) {
 		t.Fatalf("candidate index looks unbuilt after ingest: %+v", st.CandidateIndex)
 	}
 
-	fresh, err := New(w.E, w.I, Config{Shards: 4, Link: cfg})
+	fresh, err := New(w.E, w.I, Config{Link: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

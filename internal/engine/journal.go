@@ -24,20 +24,18 @@ type RunRecord struct {
 	// Start / Duration are the run's wall-clock bounds.
 	Start    time.Time
 	Duration time.Duration
-	// DirtyShards counts shards with pending ingest at run start;
-	// ShortCircuit reports the zero-work fast path (no dirty shards, no
+	// ShortCircuit reports the zero-work fast path (nothing pending, no
 	// forced work — stats mirrors zeroed, no relink).
-	DirtyShards  int
 	ShortCircuit bool
-	// FullRescore reports whether any shard took the epoch full-rescore
-	// path this run.
+	// FullRescore reports whether the edge store took the epoch
+	// full-rescore path this run.
 	FullRescore bool
-	// Panicked / PanicMsg record contained shard panics (the engine
+	// Panicked / PanicMsg record contained relink panics (the engine
 	// degrades rather than crashing; see runContained).
 	Panicked bool
 	PanicMsg string
-	// Rescored / Retained / Dropped aggregate the shards' edge-store
-	// deltas; CandidatePairs and Links are the run's published totals.
+	// Rescored / Retained / Dropped are the run's edge-store delta;
+	// CandidatePairs and Links are the run's published totals.
 	Rescored       int64
 	Retained       int64
 	Dropped        int64
@@ -45,15 +43,14 @@ type RunRecord struct {
 	Links          int64
 	// TailReusedPrefix is how many matched links the publish tail reused
 	// verbatim from the previous run; TailFullRebuild reports whether the
-	// tail fell back to a full merge+match rebuild. Both are zero on the
+	// tail fell back to a full sort+match rebuild. Both are zero on the
 	// from-scratch (Hungarian) path.
 	TailReusedPrefix int64
 	TailFullRebuild  bool
-	// Per-stage wall-clock durations (see Stats stage timings).
+	// Per-stage wall-clock durations (the slim_relink_stage_seconds stages).
 	ApplyDur     time.Duration
 	IndexDur     time.Duration
 	RescoreDur   time.Duration
-	MergeDur     time.Duration
 	MatchDur     time.Duration
 	ThresholdDur time.Duration
 }

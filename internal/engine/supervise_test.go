@@ -16,7 +16,6 @@ func faultedEngine(t *testing.T) (*Engine, *fault.Injector) {
 	w := standardWorkload(12)
 	inj := fault.New()
 	eng, err := New(w.E, w.I, Config{
-		Shards:   4,
 		Link:     slim.Defaults(),
 		Debounce: 5 * time.Millisecond,
 		Fault:    inj,
@@ -41,7 +40,7 @@ func extraRecs(n int, seed int64) []slim.Record {
 // turn and verifies the failure is contained: Run returns the previous
 // published result unchanged, the version is not bumped, the panic is
 // counted, the relink health domain degrades, and the next (fault-free)
-// run fully recovers — rescoring every shard and publishing fresh links.
+// run fully recovers — running the linker and publishing fresh links.
 func TestEngineRunPanicContained(t *testing.T) {
 	for _, site := range []string{FaultApply, FaultRescore, FaultRelink} {
 		t.Run(site, func(t *testing.T) {
@@ -73,15 +72,15 @@ func TestEngineRunPanicContained(t *testing.T) {
 				t.Fatalf("health after panic = %v (%q), want degraded naming %s", state, cause, site)
 			}
 
-			// Fault exhausted (Count:1): the next run must succeed, rescore
-			// every shard (forceDirty), and publish the pending records.
+			// Fault exhausted (Count:1): the next run must succeed, run the
+			// linker rather than short-circuit (stale), and publish the
+			// pending records.
 			res := eng.Run()
 			if _, v3, _ := eng.Result(); v3 != v1+1 {
 				t.Fatalf("recovery run version = %d, want %d", v3, v1+1)
 			}
-			if got := eng.Stats().DirtyShardsLastRun; got != eng.NumShards() {
-				t.Fatalf("recovery run rescored %d shards, want all %d (forceDirty)",
-					got, eng.NumShards())
+			if recs, _ := eng.Runs(1, 0); len(recs) != 1 || recs[0].ShortCircuit || recs[0].Panicked {
+				t.Fatalf("recovery run record %+v, want a full linker run", recs)
 			}
 			if state, _, _ := eng.Health(); state != obs.Healthy {
 				t.Fatalf("health after recovery = %v, want healthy", state)
@@ -163,6 +162,40 @@ func TestEngineSupervisorRestartsLoop(t *testing.T) {
 	}
 	if st.RelinkPanics == 0 {
 		t.Fatal("scheduler panic not counted in RelinkPanics")
+	}
+}
+
+// TestEngineDebounceIsBounded is the starvation gate of the background
+// scheduler: ingest kicking it faster than Debounce resets the quiet
+// timer every time, yet the relink must still start within
+// maxDebounceWaits debounce periods. Kicks every Debounce/2 for
+// 20×Debounce must produce at least one background run before they stop.
+func TestEngineDebounceIsBounded(t *testing.T) {
+	const debounce = 20 * time.Millisecond
+	eng, err := New(slim.Dataset{Name: "E"}, slim.Dataset{Name: "I"},
+		Config{Link: slim.Defaults(), Debounce: debounce})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	defer eng.Close()
+
+	tick := time.NewTicker(debounce / 2)
+	defer tick.Stop()
+	for stop := time.Now().Add(20 * debounce); time.Now().Before(stop); {
+		<-tick.C
+		eng.scheduleRelink()
+	}
+	recs, _ := eng.Runs(0, 0)
+	background := 0
+	for _, r := range recs {
+		if r.Trigger == "background" {
+			background++
+		}
+	}
+	if background == 0 {
+		t.Fatalf("steady kicks every %v starved the %v debounce: no background run in %v",
+			debounce/2, debounce, 20*debounce)
 	}
 }
 

@@ -26,16 +26,17 @@ func requireBitIdenticalLinks(t *testing.T, step string, got, want []slim.Link) 
 
 // TestEnginePublishTailReuseAndPanicRecovery pins the engine's publish
 // tail discipline: a weight-only ingest burst (re-observations of
-// existing records, which rescore dirty shards to identical scores) must
-// flow through the delta path — whole matched prefix reused, threshold
-// fit reused, no full rebuild — while a panicked run must poison the
-// tail so the next run full-rebuilds it, both publishing links
-// bit-identical to the pre-burst result.
+// existing records, which rescore to identical scores) must flow through
+// the delta path — whole matched prefix reused, threshold fit reused, no
+// full rebuild — and a run that panicked after the linker ran must leave
+// the next run publishing links bit-identical to the pre-burst result.
+// (A publish the tail itself missed is caught inside Linker.Run; see
+// TestLinkerRunRebuildsTailAfterMissedUpdate in the root package.)
 func TestEnginePublishTailReuseAndPanicRecovery(t *testing.T) {
 	w := standardWorkload(16)
 	inj := fault.New()
 	eng, err := New(w.E, w.I, Config{
-		Shards: 4, Link: slim.Defaults(), Debounce: time.Hour, Fault: inj,
+		Link: slim.Defaults(), Debounce: time.Hour, Fault: inj,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,9 +52,9 @@ func TestEnginePublishTailReuseAndPanicRecovery(t *testing.T) {
 		t.Fatalf("first run must full-build the tail: %+v", st.PublishTail)
 	}
 
-	// Weight-only burst: re-ingesting existing records dirties their
-	// shards but moves no IDF epoch, so every rescored pair keeps its
-	// exact score and the per-shard deltas are empty.
+	// Weight-only burst: re-ingesting existing records moves no IDF
+	// epoch, so every rescored pair keeps its exact score and the edge
+	// delta is empty.
 	if err := eng.AddE(w.E.Records[:8]...); err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +74,9 @@ func TestEnginePublishTailReuseAndPanicRecovery(t *testing.T) {
 		t.Fatalf("journal tail fields wrong: %+v", recs[0])
 	}
 
-	// A panicked run may have consumed per-shard deltas before dying, so
-	// the tail's synced state is unknown; the recovery run must force a
-	// full tail rebuild and still publish the exact links.
+	// A run that panics after the linker consumed the burst publishes
+	// nothing; the recovery run republishes from the linker's state,
+	// which must still be exact.
 	if err := eng.AddE(w.E.Records[8:16]...); err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +84,8 @@ func TestEnginePublishTailReuseAndPanicRecovery(t *testing.T) {
 	eng.Run() // contained failure: previous result republished
 	rec := eng.Run()
 	requireBitIdenticalLinks(t, "post-panic recovery", rec.Links, base.Links)
-	ts = eng.Stats().PublishTail
-	if ts == nil || !ts.LastFull {
-		t.Fatalf("recovery run must full-rebuild the tail: %+v", ts)
-	}
 	recs, _ = eng.Runs(1, 0)
-	if len(recs) != 1 || !recs[0].TailFullRebuild {
-		t.Fatalf("recovery journal record must flag the tail rebuild: %+v", recs[0])
+	if len(recs) != 1 || recs[0].ShortCircuit || recs[0].Panicked {
+		t.Fatalf("recovery run must run the linker: %+v", recs)
 	}
 }

@@ -53,9 +53,9 @@ func (c *Compiled) current(epoch uint64, h *History) bool {
 // changed — or whose dataset-level IDF inputs changed — since its last
 // compilation, and returns how many entities were recompiled. Weight-only
 // updates (records landing in existing bins) dirty just the touched
-// entities; a new bin, a new entity, or a SetIDFTotalEntities change moves
-// the store's IDF epoch and recompiles everything, because the IDF weights
-// baked into every view may have shifted.
+// entities; a new bin or a new entity moves the store's IDF epoch and
+// recompiles everything, because the IDF weights baked into every view
+// may have shifted.
 //
 // RunEdges calls Compile before fanning scoring across workers, so the
 // parallel phase only ever takes the cheap read-lock path of CompiledView.

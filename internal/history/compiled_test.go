@@ -103,17 +103,6 @@ func TestCompileInvalidation(t *testing.T) {
 	if n := s.Compile(); n != all+1 {
 		t.Fatalf("new-entity add recompiled %d entities, want %d", n, all+1)
 	}
-
-	// IDF numerator override: all stale; setting the same value again is
-	// a no-op.
-	s.SetIDFTotalEntities(100)
-	if n := s.Compile(); n != all+1 {
-		t.Fatalf("SetIDFTotalEntities recompiled %d entities, want %d", n, all+1)
-	}
-	s.SetIDFTotalEntities(100)
-	if n := s.Compile(); n != 0 {
-		t.Fatalf("no-op SetIDFTotalEntities recompiled %d entities, want 0", n)
-	}
 }
 
 // TestCompiledViewLazyRecompile checks that CompiledView alone (no explicit

@@ -58,10 +58,10 @@ func requireSameResult(t *testing.T, step string, got, want Result) {
 // built over the union records on the same pinned grid — across
 // weight-only churn (the pair-level delta path), new-bin and new-entity
 // bursts (IDF-epoch full rescores), window-range growth in both
-// directions (candidate-grid epoch rebuilds), point and region records,
-// and SetTotalEntitiesE changes. It also asserts that both the delta path
-// and the full-rescore path actually ran, so parity cannot pass by
-// rescoring everything every time.
+// directions (candidate-grid epoch rebuilds), and point and region
+// records. It also asserts that both the delta path and the full-rescore
+// path actually ran, so parity cannot pass by rescoring everything every
+// time.
 func TestRelinkParityIncrementalVsFromScratch(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -83,20 +83,17 @@ func TestRelinkParityIncrementalVsFromScratch(t *testing.T) {
 				w := SampleWorkload(&ground, SampleOptions{
 					IntersectionRatio: 0.5, InclusionProbE: 0.7, InclusionProbI: 0.7, Seed: seed + 1,
 				})
-				p, err := PrepareLinkage(w.E, w.I, cfg)
+				inc, err := NewLinker(w.E, w.I, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Pin the grid for both linkers so union rebuilds live on the
-				// same windows even after backward range growth.
-				opt := ShardOptions{EpochUnix: p.EpochUnix, SpatialLevel: p.Config.SpatialLevel}
-				inc, err := NewShardLinker(p.E, p.I, p.Config, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				unionE := slices.Clone(p.E.Records)
-				unionI := slices.Clone(p.I.Records)
-				lo, hi, _ := p.E.TimeRange()
+				// The union starts from the records the linker kept after
+				// its MinRecords filter.
+				fe := w.E.FilterMinRecords(cfg.MinRecords)
+				fi := w.I.FilterMinRecords(cfg.MinRecords)
+				unionE := slices.Clone(fe.Records)
+				unionI := slices.Clone(fi.Records)
+				lo, hi, _ := fe.TimeRange()
 
 				// mutate applies one burst to the incremental linker and the
 				// union records. Kinds: 0 = weight-only re-observations
@@ -155,6 +152,7 @@ func TestRelinkParityIncrementalVsFromScratch(t *testing.T) {
 				sawDelta, sawFull := false, false
 				sawTailReuse := false
 				kinds := []int{0, 0, 2, 0, 1, 3, 4, 0}
+				var last Result
 				for burst, kind := range kinds {
 					mutate(kind)
 					if rng.Intn(2) == 0 {
@@ -182,15 +180,16 @@ func TestRelinkParityIncrementalVsFromScratch(t *testing.T) {
 						!ts.LastFull && ts.ReusedPrefixLen > 0 {
 						sawTailReuse = true
 					}
-					fresh, err := NewShardLinker(
+					fresh, err := NewLinker(
 						Dataset{Name: "E", Records: unionE},
 						Dataset{Name: "I", Records: unionI},
-						p.Config, opt,
+						cfg,
 					)
 					if err != nil {
 						t.Fatal(err)
 					}
 					requireSameResult(t, fmt.Sprintf("burst %d (kind %d)", burst, kind), got, fresh.Run())
+					last = got
 				}
 				if !sawDelta || !sawFull {
 					t.Fatalf("workload must exercise both paths: delta=%v full=%v", sawDelta, sawFull)
@@ -198,26 +197,6 @@ func TestRelinkParityIncrementalVsFromScratch(t *testing.T) {
 				if !sawTailReuse {
 					t.Fatal("no delta burst reused the tail's matched prefix")
 				}
-
-				// SetTotalEntitiesE moves the E-side IDF epoch: the next run
-				// must full-rescore and still match a from-scratch linker
-				// under the same override.
-				total := len(inc.EntitiesE()) + 16
-				inc.SetTotalEntitiesE(total)
-				got := inc.Run()
-				if !got.Stats.EdgeStore.FullRescore {
-					t.Fatal("SetTotalEntitiesE did not force a full rescore")
-				}
-				fresh, err := NewShardLinker(
-					Dataset{Name: "E", Records: unionE},
-					Dataset{Name: "I", Records: unionI},
-					p.Config, opt,
-				)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fresh.SetTotalEntitiesE(total)
-				requireSameResult(t, "idf-total override", got, fresh.Run())
 
 				// A run with no ingest at all retains everything — and the
 				// publish tail must reuse the entire matched prefix and the
@@ -227,7 +206,7 @@ func TestRelinkParityIncrementalVsFromScratch(t *testing.T) {
 				if es.Rescored != 0 || es.FullRescore || es.Retained != clean.Stats.CandidatePairs {
 					t.Fatalf("clean run rescored work: %+v", es)
 				}
-				requireSameResult(t, "clean rerun", clean, got)
+				requireSameResult(t, "clean rerun", clean, last)
 				ts := inc.PublishTailStats()
 				if ts == nil {
 					t.Fatal("greedy runs must maintain a publish tail")

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # check_metrics.sh — e2e smoke of the /metrics plane against a real slimd.
 #
-# Builds slimd, boots it empty on a loopback port, ingests one batch,
-# forces a relink, scrapes GET /metrics, and validates that:
+# Builds slimd, boots it empty on a loopback port (plus a debug
+# listener), ingests one batch, forces a relink, scrapes GET /metrics,
+# and validates that:
 #   * the exposition parses (every line is a comment or name{labels} value),
 #   * every required metric family is declared with # TYPE,
 #   * the freshness pipeline moved (ingest_to_visible count > 0) and
-#     drained (staleness ~0).
+#     drained (staleness ~0),
+#   * the debug listener serves /v1/stats.
 #
 # Usage: scripts/check_metrics.sh  (from the repo root; CI runs it there)
 set -euo pipefail
@@ -29,8 +31,8 @@ go build -o "$workdir/slimd" ./cmd/slimd
 echo "== booting slimd"
 # -data-dir: the storage families (health, reopen retries) only register
 # when a store is attached.
-"$workdir/slimd" -addr 127.0.0.1:0 -shards 2 -debounce 50ms \
-  -data-dir "$workdir/data" \
+"$workdir/slimd" -addr 127.0.0.1:0 -debounce 50ms \
+  -data-dir "$workdir/data" -debug-addr 127.0.0.1:0 \
   >"$workdir/slimd.log" 2>&1 &
 slimd_pid=$!
 
@@ -139,6 +141,14 @@ grep -q '"total_runs"' "$runs" && grep -q '"trigger"' "$runs" \
 # Parameter validation must reject a half-specified pair.
 code="$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/explain?e=m1")"
 [ "$code" = "400" ] || { echo "/v1/explain without i returned $code, want 400"; exit 1; }
+
+echo "== checking the debug listener serves /v1/stats (and no expvar)"
+daddr="$(sed -n 's/.*msg="debug server listening" addr=\([^ ]*\).*/\1/p' "$workdir/slimd.log" | head -n1)"
+[ -n "$daddr" ] || { echo "slimd never logged its debug address"; cat "$workdir/slimd.log"; exit 1; }
+curl -fsS "http://$daddr/v1/stats" | grep -q '"runs"' \
+  || { echo "debug /v1/stats missing the stats document"; exit 1; }
+code="$(curl -s -o /dev/null -w '%{http_code}' "http://$daddr/debug/vars")"
+[ "$code" = "404" ] || { echo "debug /debug/vars returned $code, want 404"; exit 1; }
 
 echo "== checking the freshness pipeline moved and drained"
 count="$(sed -n 's/^slim_ingest_to_visible_seconds_count \(.*\)$/\1/p' "$metrics")"

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"slim/internal/candidates"
@@ -60,6 +61,11 @@ type Stats struct {
 	// many scored pairs were retained from the previous run versus
 	// rescored or dropped (see EdgeStoreStats).
 	EdgeStore *EdgeStoreStats
+	// MatchTime / ThresholdTime are the wall time Run spent matching and
+	// selecting the stop threshold (zero from RunEdges, which does
+	// neither).
+	MatchTime     time.Duration
+	ThresholdTime time.Duration
 }
 
 // LSHStats reports the candidate filter's effectiveness.
@@ -137,35 +143,20 @@ type Linker struct {
 	prevStats similarity.Stats
 }
 
-// PreparedLinkage holds the seed inputs of one logical linkage after
-// one-time preparation: datasets validated and min-records filtered, the
-// configuration normalized, and the shared temporal grid and spatial
-// level resolved. Partitioned engines call PrepareLinkage once and hand
-// every shard the same grid via ShardOptions.
-type PreparedLinkage struct {
-	// E and I are the validated, min-records-filtered datasets.
-	E, I Dataset
-	// Config is the normalized configuration with the resolved (possibly
-	// auto-tuned) spatial level filled in.
-	Config Config
-	// EpochUnix is the unix time of the left edge of temporal window 0.
-	EpochUnix int64
-}
-
-// PrepareLinkage validates and min-records-filters both datasets and
-// resolves the shared temporal grid and spatial level (auto-tuning when
-// cfg.SpatialLevel is 0, with level 12 as the degenerate-input fallback).
-// It is the single place grid resolution happens: NewLinker and the
-// sharded engine both build on it.
-func PrepareLinkage(dsE, dsI Dataset, cfg Config) (PreparedLinkage, error) {
+// NewLinker validates the configuration and both datasets, drops
+// entities with too few records (MinRecords), resolves the temporal grid
+// and the spatial level (auto-tuning when cfg.SpatialLevel is 0, with
+// level 12 as the degenerate-input fallback), builds both datasets'
+// mobility histories and, when LSH is enabled, the candidate pair set.
+func NewLinker(dsE, dsI Dataset, cfg Config) (*Linker, error) {
 	if err := cfg.normalize(); err != nil {
-		return PreparedLinkage{}, err
+		return nil, err
 	}
 	if err := dsE.Validate(); err != nil {
-		return PreparedLinkage{}, fmt.Errorf("slim: dataset E: %w", err)
+		return nil, fmt.Errorf("slim: dataset E: %w", err)
 	}
 	if err := dsI.Validate(); err != nil {
-		return PreparedLinkage{}, fmt.Errorf("slim: dataset I: %w", err)
+		return nil, fmt.Errorf("slim: dataset I: %w", err)
 	}
 	fe := dsE.FilterMinRecords(cfg.MinRecords)
 	fi := dsI.FilterMinRecords(cfg.MinRecords)
@@ -173,19 +164,17 @@ func PrepareLinkage(dsE, dsI Dataset, cfg Config) (PreparedLinkage, error) {
 	widthSec := windowSeconds(cfg)
 	wnd := model.NewWindowing(widthSec, &fe, &fi)
 
-	level := cfg.SpatialLevel
-	if level == 0 {
+	if cfg.SpatialLevel == 0 {
 		opt := tuning.DefaultOptions()
 		opt.WindowSeconds = widthSec
 		opt.MaxSpeedKmPerMin = cfg.MaxSpeedKmPerMin
 		opt.B = cfg.B
-		level, _, _ = tuning.AutoSpatialLevelPair(&fe, &fi, opt)
-		if level == 0 {
-			level = 12
+		cfg.SpatialLevel, _, _ = tuning.AutoSpatialLevelPair(&fe, &fi, opt)
+		if cfg.SpatialLevel == 0 {
+			cfg.SpatialLevel = 12
 		}
 	}
-	cfg.SpatialLevel = level
-	return PreparedLinkage{E: fe, I: fi, Config: cfg, EpochUnix: wnd.Epoch}, nil
+	return buildLinker(fe, fi, cfg, wnd)
 }
 
 // windowSeconds returns the temporal window width in whole seconds,
@@ -196,50 +185,6 @@ func windowSeconds(cfg Config) int64 {
 		w = 1
 	}
 	return w
-}
-
-// NewLinker validates the configuration, builds both datasets' mobility
-// histories (auto-tuning the spatial level if requested) and, when LSH is
-// enabled, the candidate pair set.
-func NewLinker(dsE, dsI Dataset, cfg Config) (*Linker, error) {
-	p, err := PrepareLinkage(dsE, dsI, cfg)
-	if err != nil {
-		return nil, err
-	}
-	wnd := model.Windowing{Epoch: p.EpochUnix, WidthSeconds: windowSeconds(p.Config)}
-	return buildLinker(p.E, p.I, p.Config, wnd)
-}
-
-// ShardOptions pins the shared linkage grid when a Linker is built as one
-// shard of a larger partitioned linkage: every shard must agree on the
-// window epoch and the spatial level or their scores would live on
-// different bins.
-type ShardOptions struct {
-	// EpochUnix is the unix time of the left edge of temporal window 0,
-	// shared across the whole partition.
-	EpochUnix int64
-	// SpatialLevel pins the history grid level; 0 keeps cfg.SpatialLevel,
-	// which must then be non-zero (shards never auto-tune).
-	SpatialLevel int
-}
-
-// NewShardLinker builds a Linker over one partition of a larger linkage.
-// The caller (e.g. internal/engine) is expected to have validated and
-// min-records-filtered the inputs once globally, and to pass the grid
-// parameters it resolved for the whole linkage; no auto-tuning or
-// re-filtering happens here. Empty partitions are allowed.
-func NewShardLinker(dsE, dsI Dataset, cfg Config, opt ShardOptions) (*Linker, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	if opt.SpatialLevel > 0 {
-		cfg.SpatialLevel = opt.SpatialLevel
-	}
-	if cfg.SpatialLevel == 0 {
-		return nil, fmt.Errorf("slim: shard linker requires a pinned spatial level")
-	}
-	wnd := model.Windowing{Epoch: opt.EpochUnix, WidthSeconds: windowSeconds(cfg)}
-	return buildLinker(dsE, dsI, cfg, wnd)
 }
 
 // buildLinker assembles stores, scorer and LSH candidates from prepared
@@ -385,14 +330,6 @@ func (lk *Linker) add(store, sigStore *history.Store, dirty map[EntityID]struct{
 	}
 }
 
-// SetTotalEntitiesE tells a shard linker how many E entities the whole
-// partitioned linkage holds, so its IDF uniqueness weights (Eq. 3) use the
-// global entity count as numerator instead of the shard-local one (the
-// bin frequencies in the denominator stay shard-local). Without this, a
-// shard that owns a single entity would weight every bin log(1/1) = 0 and
-// score nothing. No-op for n at or below the shard's own entity count.
-func (lk *Linker) SetTotalEntitiesE(n int) { lk.storeE.SetIDFTotalEntities(n) }
-
 // Windowing exposes the shared temporal grid of the linkage.
 func (lk *Linker) Windowing() model.Windowing { return lk.wnd }
 
@@ -419,10 +356,10 @@ func (lk *Linker) ScoreBreakdown(u, v EntityID) *similarity.Breakdown {
 }
 
 // SetNextRunSeq pins the run sequence the next RunEdges stamps onto edge
-// lineage. Partitioned engines call it with their next published result
-// version just before driving a shard's RunEdges, so lineage sequence
-// numbers line up with the versions reported by /v1/stats and the run
-// journal. Without it RunEdges counts its own updates.
+// lineage. The engine calls it with its next published result version
+// just before each Run, so lineage sequence numbers line up with the
+// versions reported by /v1/stats and the run journal. Without it RunEdges
+// counts its own updates.
 func (lk *Linker) SetNextRunSeq(seq uint64) {
 	lk.nextRunSeq = seq
 	lk.nextRunSeqSet = true
@@ -491,32 +428,20 @@ func (lk *Linker) NumCandidatePairs() int64 {
 	return int64(lk.storeE.NumEntities()) * int64(lk.storeI.NumEntities())
 }
 
-// Precompile eagerly builds the compiled read path of both history stores
-// (see history.Store.Compile), so the first Run after construction or
-// ingest pays compilation outside the scoring fan-out. RunEdges compiles
-// lazily anyway; Precompile just moves the cost, e.g. onto the parallel
-// shard-construction phase of a partitioned engine.
-func (lk *Linker) Precompile() {
-	lk.storeE.Compile()
-	lk.storeI.Compile()
-}
-
 // RunEdges brings the edge store up to date with the current candidate
 // set and returns the retained positive scored pairs together with the
-// per-call work stats, without matching or thresholding. It is the
-// building block partitioned engines use: each shard contributes its
-// edges, and the caller merges them with MatchLinks and
-// SelectStopThreshold. Run composes the same pieces for the single-linker
-// pipeline.
+// per-call work stats, without matching or thresholding. Run composes it
+// with the publish tail; callers that want the raw scored edges (e.g. to
+// match them with MatchLinks and SelectStopThreshold) call it directly.
 //
 // Scoring is incremental: while both history stores' IDF epochs stand
 // still, only the pairs whose candidate membership or endpoint histories
 // changed since the last call are rescored; every other edge keeps its
 // cached score, which is bit-identical to what a rescore would produce
 // (scores are pure functions of the two histories and the epoch-versioned
-// dataset statistics — see edges.go). Any epoch movement (new bin, new
-// entity, SetTotalEntitiesE change) forces a full rescore of the whole
-// candidate set, restoring exactly the old per-run behavior.
+// dataset statistics — see edges.go). Any epoch movement (new bin or new
+// entity) forces a full rescore of the whole candidate set, restoring
+// exactly the old per-run behavior.
 //
 // The returned Stats carry private LSHStats/EdgeStoreStats copies, so a
 // later refresh never mutates results a caller still holds. The returned
@@ -529,13 +454,14 @@ func (lk *Linker) RunEdges() ([]Link, Stats) {
 	// Refresh the compiled read path once, single-threaded, so the scoring
 	// fan-out below runs on immutable views: entities untouched since the
 	// last run keep their compiled state.
-	lk.Precompile()
+	lk.storeE.Compile()
+	lk.storeI.Compile()
 	nPairs := lk.NumCandidatePairs()
 
 	start := time.Now()
-	// Run sequence stamped onto edge lineage: a partitioned engine pins it
-	// to its next published result version (SetNextRunSeq); standalone
-	// linkers just count their own updates.
+	// Run sequence stamped onto edge lineage: the engine pins it to its
+	// next published result version (SetNextRunSeq); standalone linkers
+	// just count their own updates.
 	seq := lk.edges.seq + 1
 	if lk.nextRunSeqSet {
 		seq = lk.nextRunSeq
@@ -633,8 +559,8 @@ func (lk *Linker) bruteDeltaPairs() []lsh.Pair {
 
 // scorePairs scores the given pairs across the configured workers and
 // returns the per-pair scores (including non-positive ones, which the
-// edge store needs to drop stale edges). Each worker owns a contiguous
-// index range of the output, so the result is deterministic.
+// edge store needs to drop stale edges). Every pair writes its own
+// output slot, so the result is deterministic.
 func (lk *Linker) scorePairs(pairs []lsh.Pair) []float64 {
 	out := make([]float64, len(pairs))
 	workers := lk.workerCount(len(pairs))
@@ -658,27 +584,37 @@ func (lk *Linker) workerCount(total int) int {
 	return workers
 }
 
-// runChunks partitions [0, total) into contiguous per-worker ranges and
-// calls fn(w, lo, hi) concurrently, returning after all workers finish.
-// Both scoring paths (full scoreIndexed and delta scorePairs) run on it,
-// so worker policy cannot drift between them.
+// chunksPerWorker is how many ranges runChunks cuts per worker. Workers
+// claim ranges one at a time, so a worker held up by an expensive range
+// or by the scheduler (ingest and query goroutines share the cores)
+// leaves the remaining ranges to the others instead of delaying the
+// whole run.
+const chunksPerWorker = 8
+
+// runChunks cuts [0, total) into contiguous ranges that workers
+// goroutines claim in order, calling fn(w, lo, hi) for each range worker
+// w claims, and returns after every range is done. Both scoring paths
+// (full scoreIndexed and delta scorePairs) run on it, so worker policy
+// cannot drift between them.
 func runChunks(workers, total int, fn func(w, lo, hi int)) {
-	if workers <= 0 {
+	if workers <= 0 || total <= 0 {
 		return
 	}
+	size := max(total/(workers*chunksPerWorker), 1)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	chunk := (total + workers - 1) / workers
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, total)
-		if lo >= hi {
-			break
-		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
+			for {
+				lo := int(next.Add(int64(size))) - size
+				if lo >= total {
+					return
+				}
+				fn(w, lo, min(lo+size, total))
+			}
+		}(w)
 	}
 	wg.Wait()
 }
@@ -705,9 +641,12 @@ func (lk *Linker) Run() Result {
 	var matched, links []Link
 	var thr StopThreshold
 	if lk.cfg.Matcher == MatcherHungarian {
+		t0 := time.Now()
 		matched = MatchLinks(lk.cfg.Matcher, edges)
+		t1 := time.Now()
 		thr = SelectStopThreshold(lk.cfg.Threshold, LinkScores(matched))
 		links = FilterLinks(matched, thr.Threshold)
+		stats.MatchTime, stats.ThresholdTime = t1.Sub(t0), time.Since(t1)
 	} else {
 		if lk.tail == nil {
 			lk.tail = NewPublishTail(lk.cfg.Threshold)
@@ -720,6 +659,7 @@ func (lk *Linker) Run() Result {
 		}
 		matched, links, thr = lk.tail.Publish([]EdgeDelta{d}, func() []Link { return edges })
 		lk.tailSynced = d.Seq
+		stats.MatchTime, stats.ThresholdTime = lk.tail.lastMatch, lk.tail.lastThreshold
 	}
 	return Result{
 		Links:           links,
@@ -742,12 +682,6 @@ func (lk *Linker) PublishTailStats() *PublishTailStats {
 	st := lk.tail.Stats()
 	return &st
 }
-
-// LastEdgeDelta returns the edge-level delta of the most recent RunEdges,
-// for feeding an externally owned PublishTail (partitioned engines merge
-// one tail across shards). The slices alias the store's reused buffers —
-// valid only until the next run.
-func (lk *Linker) LastEdgeDelta() EdgeDelta { return lk.edges.delta() }
 
 // StopThreshold is the outcome of a stop-threshold detection.
 type StopThreshold struct {
@@ -833,9 +767,9 @@ func FilterLinks(links []Link, thr float64) []Link {
 }
 
 // scoreIndexed fans the candidate pairs pairAt(0..total-1) across workers
-// and keeps positive edges. Each worker owns a contiguous index range and
-// writes into its own result slot; slots are concatenated in worker order
-// after the barrier, so the merge is deterministic and lock-free.
+// and keeps positive edges. Each worker appends to its own result slot;
+// after the barrier the slots are concatenated and sorted by (U, V), so
+// the result is deterministic whichever worker scored which range.
 func (lk *Linker) scoreIndexed(total int, pairAt func(int) (EntityID, EntityID)) []matching.Edge {
 	workers := lk.workerCount(total)
 	if workers == 0 {
@@ -843,7 +777,7 @@ func (lk *Linker) scoreIndexed(total int, pairAt func(int) (EntityID, EntityID))
 	}
 	results := make([][]matching.Edge, workers)
 	runChunks(workers, total, func(w, lo, hi int) {
-		local := make([]matching.Edge, 0, (hi-lo)/4)
+		local := results[w]
 		for k := lo; k < hi; k++ {
 			u, v := pairAt(k)
 			if s := lk.scorer.Score(u, v); s > 0 {

@@ -111,9 +111,9 @@ func NewPublishTail(method ThresholdMethod) *PublishTail {
 // the selected stop threshold, and the threshold decision. all is called
 // only when a full rebuild is needed (any delta marked Full, a missed
 // update, or the first Publish) and must return the complete current edge
-// set. Deltas from different producers must be pair-disjoint (true for
-// partition shards). The returned matched/links slices are immutable;
-// links aliases a prefix of matched.
+// set. Deltas from different producers must be pair-disjoint. The
+// returned matched/links slices are immutable; links aliases a prefix of
+// matched.
 func (t *PublishTail) Publish(deltas []EdgeDelta, all func() []Link) (matched, links []Link, thr StopThreshold) {
 	start := time.Now()
 	full := !t.built()

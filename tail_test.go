@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -183,4 +184,43 @@ func TestPublishTailRemovalOfTopLink(t *testing.T) {
 	if ts.LastFull || ts.ReusedPrefixLen != 0 {
 		t.Fatalf("removal of the top link must reuse nothing without a rebuild: %+v", ts)
 	}
+}
+
+// TestLinkerRunRebuildsTailAfterMissedUpdate pins Run's tail sync check:
+// when the edge store took an update the publish tail never consumed
+// (RunEdges driven directly, or a Run that died between scoring and
+// publishing), the next Run must rebuild the tail from the full edge set
+// and still publish exactly what a from-scratch linker does.
+func TestLinkerRunRebuildsTailAfterMissedUpdate(t *testing.T) {
+	ground := GenerateCab(CabOptions{NumTaxis: 12, Days: 2, MeanRecordIntervalSec: 420, Seed: 7})
+	w := SampleWorkload(&ground, SampleOptions{
+		IntersectionRatio: 0.5, InclusionProbE: 0.7, InclusionProbI: 0.7, Seed: 8,
+	})
+	cfg := Defaults()
+	lk, err := NewLinker(w.E, w.I, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk.Run()
+	fe := w.E.FilterMinRecords(cfg.MinRecords)
+	unionE := slices.Clone(fe.Records)
+
+	// The tail misses this update: a new cell moves the E epoch.
+	r := unionE[0]
+	r.LatLng.Lat += 0.4
+	lk.AddE(r)
+	unionE = append(unionE, r)
+	lk.RunEdges()
+
+	lk.AddE(unionE[1])
+	unionE = append(unionE, unionE[1])
+	got := lk.Run()
+	if ts := lk.PublishTailStats(); ts == nil || !ts.LastFull {
+		t.Fatalf("run after a missed update must rebuild the tail: %+v", ts)
+	}
+	fresh, err := NewLinker(Dataset{Name: "E", Records: unionE}, w.I, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "after missed update", got, fresh.Run())
 }
