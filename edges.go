@@ -6,6 +6,7 @@ import (
 
 	"slim/internal/candidates"
 	"slim/internal/lsh"
+	"slim/internal/similarity"
 )
 
 // EdgeStoreStats reports the state of a Linker's incremental edge store
@@ -37,6 +38,11 @@ type EdgeStoreStats struct {
 	// estimate (Go map internals are not directly measurable), maintained
 	// incrementally so reading it costs nothing.
 	ResidentBytes int64
+	// SelectionBytes is the resident size of the cached bin-pair
+	// selections (one per candidate pair once the linker streams; see
+	// similarity.Selection): per entry a fixed map overhead plus the
+	// selection's own bytes, maintained incrementally like ResidentBytes.
+	SelectionBytes int64
 }
 
 // EdgeLineage is the provenance of one pair in the edge store: whether it
@@ -86,6 +92,12 @@ func pairBytes(p lsh.Pair) int64 {
 	return edgePairOverheadBytes + int64(len(p.U)) + int64(len(p.V))
 }
 
+// selectionEntryOverheadBytes is the estimated fixed cost of one
+// selection map entry beyond the selection itself: the key's two string
+// headers, the value pointer and amortized bucket overhead (the entity id
+// bytes are shared with the candidate and edge structures).
+const selectionEntryOverheadBytes = 64
+
 // edgeStore is the maintained pair→score state behind Linker.RunEdges.
 // Where scoring used to be per-run output (every candidate rescanned on
 // every run), the store keeps the scored edges alive between runs and
@@ -100,9 +112,9 @@ func pairBytes(p lsh.Pair) int64 {
 // IDF epoch — new bin or new entity — so while
 // both epochs stand still, a retained edge's score is bit-identical to
 // what a rescore would produce, and any epoch movement forces a full
-// rescore (amortized exactly like candidate-index rebuilds: dataset-level
-// shifts grow ever rarer as a feed ages, while per-entity churn never
-// stops).
+// rescore. Once the linker streams, a full rescore is a replay: each
+// pair's cached bin-pair selection (sel) is re-summed with the current
+// weights, and only windows that are new or gained a cell are re-selected.
 type edgeStore struct {
 	built bool
 	// epochE / epochI are the history-store IDF epochs the retained scores
@@ -146,6 +158,14 @@ type edgeStore struct {
 	deltaChanged []Link
 	deltaRemoved []Link
 	updates      uint64
+
+	// sel holds one cached bin-pair selection per candidate pair scored
+	// while the linker streams, so an epoch move makes a full rescore a
+	// replay of cached terms rather than a re-selection (see
+	// similarity.ScoreSelected). Entries leave with their pair's candidate
+	// tenure; selBytes is their incrementally maintained resident size.
+	sel      map[lsh.Pair]*similarity.Selection
+	selBytes int64
 }
 
 func newEdgeStore() edgeStore {
@@ -154,6 +174,38 @@ func newEdgeStore() edgeStore {
 		meta:        make(map[lsh.Pair]edgeMeta),
 		pendRescore: make(map[lsh.Pair]struct{}),
 		pendRemoved: make(map[lsh.Pair]struct{}),
+		sel:         make(map[lsh.Pair]*similarity.Selection),
+	}
+}
+
+// selections returns the cached selection of each of the n pairs about
+// to be scored (pairAt(k) names pair k), creating missing entries. It
+// runs single-threaded before the scoring fan-out, which then gives each
+// pair's selection to exactly one worker, so no locks are needed.
+func (es *edgeStore) selections(n int, pairAt func(int) lsh.Pair) []*similarity.Selection {
+	out := make([]*similarity.Selection, n)
+	for k := range out {
+		p := pairAt(k)
+		sel := es.sel[p]
+		if sel == nil {
+			sel = new(similarity.Selection)
+			es.sel[p] = sel
+			es.selBytes += selectionEntryOverheadBytes + sel.Bytes()
+		}
+		out[k] = sel
+	}
+	return out
+}
+
+// dropSelections deletes the cached selections of the pairs that left the
+// candidate set. Callers run it before resetFull/apply consume
+// pendRemoved.
+func (es *edgeStore) dropSelections() {
+	for p := range es.pendRemoved {
+		if sel, ok := es.sel[p]; ok {
+			es.selBytes -= selectionEntryOverheadBytes + sel.Bytes()
+			delete(es.sel, p)
+		}
 	}
 }
 
@@ -335,13 +387,14 @@ func (es *edgeStore) delta() EdgeDelta {
 // across later runs).
 func (es *edgeStore) statsSnapshot() *EdgeStoreStats {
 	return &EdgeStoreStats{
-		Pairs:         int64(len(es.scores)),
-		Epoch:         es.fullRescores,
-		Retained:      es.lastRetained,
-		Rescored:      es.lastRescored,
-		Dropped:       es.lastDropped,
-		FullRescore:   es.lastFull,
-		LastUpdate:    es.lastUpdate,
-		ResidentBytes: es.bytes,
+		Pairs:          int64(len(es.scores)),
+		Epoch:          es.fullRescores,
+		Retained:       es.lastRetained,
+		Rescored:       es.lastRescored,
+		Dropped:        es.lastDropped,
+		FullRescore:    es.lastFull,
+		LastUpdate:     es.lastUpdate,
+		ResidentBytes:  es.bytes,
+		SelectionBytes: es.selBytes,
 	}
 }

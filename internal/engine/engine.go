@@ -334,6 +334,14 @@ func newEngMetrics(reg *obs.Registry, e *Engine) *engMetrics {
 			}
 			return 0
 		})
+	reg.GaugeFunc("slim_selection_cache_bytes",
+		"Estimated resident bytes of the cached per-pair bin-pair selections that rescores replay.",
+		func() float64 {
+			if es := e.edgeStats.Load(); es != nil {
+				return float64(es.SelectionBytes)
+			}
+			return 0
+		})
 	reg.GaugeFunc("slim_run_journal_records",
 		"Relink runs currently retained in the flight-recorder ring.",
 		func() float64 { return float64(e.journal.size()) })
@@ -740,6 +748,7 @@ func (e *Engine) runContained(rec *RunRecord) (res slim.Result, err error) {
 		rec.TailFullRebuild = ts.LastFull
 	}
 	rec.CandidatePairs = st.CandidatePairs
+	rec.WindowsReselected, rec.WindowsReplayed = st.WindowsReselected, st.WindowsReplayed
 
 	e.hitFault(FaultRelink)
 	res.Elapsed = time.Since(start)

@@ -41,6 +41,11 @@ type RunRecord struct {
 	Dropped        int64
 	CandidatePairs int64
 	Links          int64
+	// WindowsReselected / WindowsReplayed split the run's scored common
+	// windows into those whose bin pairs were selected afresh and those
+	// re-summed from cached selections (see slim.Stats).
+	WindowsReselected int64
+	WindowsReplayed   int64
 	// TailReusedPrefix is how many matched links the publish tail reused
 	// verbatim from the previous run; TailFullRebuild reports whether the
 	// tail fell back to a full sort+match rebuild. Both are zero on the

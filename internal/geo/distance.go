@@ -16,7 +16,35 @@ func CellDistanceKm(a, b CellID) float64 {
 	if a == b || a.Contains(b) || b.Contains(a) {
 		return 0
 	}
-	angle := a.Center().Angle(b.Center()) - a.CircumradiusRad() - b.CircumradiusRad()
+	return geomDistanceKm(NewCellGeom(a), NewCellGeom(b))
+}
+
+// CellGeom is the geometry CellDistanceKm derives from a cell id: its
+// center and circumradius. Scorers that compare the same cells many times
+// compute it once per cell instead of once per distance.
+type CellGeom struct {
+	Center          Point
+	CircumradiusRad float64
+}
+
+// NewCellGeom computes the geometry of cell c.
+func NewCellGeom(c CellID) CellGeom {
+	return CellGeom{Center: c.Center(), CircumradiusRad: c.CircumradiusRad()}
+}
+
+// CellDistanceKmGeom is CellDistanceKm(a, b) evaluated from precomputed
+// geometry (ga = NewCellGeom(a), gb = NewCellGeom(b)), bit for bit.
+// Like CellDistanceKm it is not bit-symmetric in its arguments: callers
+// that need one value per unordered pair pass the smaller id first.
+func CellDistanceKmGeom(a, b CellID, ga, gb CellGeom) float64 {
+	if a == b || a.Contains(b) || b.Contains(a) {
+		return 0
+	}
+	return geomDistanceKm(ga, gb)
+}
+
+func geomDistanceKm(ga, gb CellGeom) float64 {
+	angle := ga.Center.Angle(gb.Center) - ga.CircumradiusRad - gb.CircumradiusRad
 	if angle <= 0 {
 		return 0
 	}

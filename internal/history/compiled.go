@@ -13,8 +13,8 @@ import (
 // arrays: window k's bins occupy Cells/Counts/IDF[Off[k]:Off[k+1]], sorted
 // by ascending cell id — exactly the iteration order the map-based scorer
 // derived per call with sortedCells. Cell ids are interned into the owning
-// Store's dense index space (see Store.CompiledView) so scorers can key
-// distance caches on small integers instead of hashing 64-bit id pairs.
+// Store's dense index space (see Store.CompiledView), so scorers look a
+// cell's id and geometry up by small integer in the store's CellTable.
 //
 // A Compiled view is immutable once published. Store.Add invalidates it by
 // bumping version counters, never by mutating it, so a scorer holding a
@@ -38,6 +38,11 @@ type Compiled struct {
 	// WinRecs[k] is the summed record weight of window k, accumulated in
 	// bin order (so it is bit-identical to the map scorer's per-window sum).
 	WinRecs []float64
+	// Stamps[k] is the store epoch at which window k last gained a cell.
+	// While it stays at or below the epoch a pair's bin selection was made
+	// at, window k still holds the cells (in the same order) that selection
+	// indexed.
+	Stamps []uint64
 
 	storeEpoch  uint64
 	histVersion uint64
@@ -74,23 +79,32 @@ func (s *Store) Compile() int {
 	return n
 }
 
+// CellTable is a store's dense cell-index table: IDs[k] is the k-th
+// interned cell and Geom[k] its geometry (center and circumradius, as
+// geo.NewCellGeom computes them), so distance evaluation never re-derives
+// a cell's center. Both slices are append-only and always equally long.
+type CellTable struct {
+	IDs  []geo.CellID
+	Geom []geo.CellGeom
+}
+
 // CompiledView returns the up-to-date compiled history of e (nil if e is
-// unknown) together with the store's dense-index→cell-id table. A stale or
-// missing view is compiled on the spot, so callers need no prior Compile;
-// the table is append-only, so indices held by any returned view remain
-// valid in every later table. Safe for concurrent use by scorers; like all
-// reads, not safe concurrently with Add.
-func (s *Store) CompiledView(e model.EntityID) (*Compiled, []geo.CellID) {
+// unknown) together with the store's cell table. A stale or missing view
+// is compiled on the spot, so callers need no prior Compile; the table is
+// append-only, so indices held by any returned view remain valid in every
+// later table. Safe for concurrent use by scorers; like all reads, not
+// safe concurrently with Add.
+func (s *Store) CompiledView(e model.EntityID) (*Compiled, CellTable) {
 	h := s.histories[e]
 	if h == nil {
-		return nil, nil
+		return nil, CellTable{}
 	}
 	s.compMu.RLock()
 	c := s.compiled[e]
 	if c.current(s.epoch, h) {
-		ids := s.cellIDs
+		tab := s.cellTableLocked()
 		s.compMu.RUnlock()
-		return c, ids
+		return c, tab
 	}
 	s.compMu.RUnlock()
 
@@ -99,9 +113,13 @@ func (s *Store) CompiledView(e model.EntityID) (*Compiled, []geo.CellID) {
 	if !c.current(s.epoch, h) {
 		c = s.compileLocked(e, h)
 	}
-	ids := s.cellIDs
+	tab := s.cellTableLocked()
 	s.compMu.Unlock()
-	return c, ids
+	return c, tab
+}
+
+func (s *Store) cellTableLocked() CellTable {
+	return CellTable{IDs: s.cellIDs, Geom: s.cellGeom}
 }
 
 // compileLocked rebuilds the compiled view of one entity. Callers hold
@@ -115,6 +133,7 @@ func (s *Store) compileLocked(e model.EntityID, h *History) *Compiled {
 		Counts:      make([]float64, 0, h.numBins),
 		IDF:         make([]float64, 0, h.numBins),
 		WinRecs:     make([]float64, 0, len(h.windows)),
+		Stamps:      slices.Clone(h.stamps),
 		storeEpoch:  s.epoch,
 		histVersion: h.version,
 	}
@@ -142,7 +161,8 @@ func (s *Store) compileLocked(e model.EntityID, h *History) *Compiled {
 }
 
 // internLocked maps a cell id to its dense index, assigning the next index
-// on first sight. Callers hold compMu for writing.
+// (and computing the cell's geometry) on first sight. Callers hold compMu
+// for writing.
 func (s *Store) internLocked(id geo.CellID) int32 {
 	if i, ok := s.cellIndex[id]; ok {
 		return i
@@ -150,5 +170,6 @@ func (s *Store) internLocked(id geo.CellID) int32 {
 	i := int32(len(s.cellIDs))
 	s.cellIndex[id] = i
 	s.cellIDs = append(s.cellIDs, id)
+	s.cellGeom = append(s.cellGeom, geo.NewCellGeom(id))
 	return i
 }

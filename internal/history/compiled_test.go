@@ -1,6 +1,8 @@
 package history
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"slim/internal/geo"
@@ -30,7 +32,8 @@ func TestCompiledViewMatchesBins(t *testing.T) {
 		t.Fatalf("first Compile recompiled %d entities, want %d", n, s.NumEntities())
 	}
 	for _, e := range s.Entities() {
-		c, ids := s.CompiledView(e)
+		c, tab := s.CompiledView(e)
+		ids := tab.IDs
 		if c == nil {
 			t.Fatalf("no compiled view for %s", e)
 		}
@@ -115,7 +118,8 @@ func TestCompiledViewLazyRecompile(t *testing.T) {
 	}
 	binsBefore := len(before.Cells)
 	s.Add(model.Record{Entity: "a", LatLng: geo.LatLng{Lat: 36.5, Lng: -121.5}, Unix: 90000})
-	after, ids := s.CompiledView("a")
+	after, tab := s.CompiledView("a")
+	ids := tab.IDs
 	if after == before {
 		t.Fatal("CompiledView returned the stale view after Add")
 	}
@@ -127,6 +131,71 @@ func TestCompiledViewLazyRecompile(t *testing.T) {
 		if int(ci) >= len(ids) {
 			t.Fatalf("dense index %d outside id table of %d", ci, len(ids))
 		}
+	}
+}
+
+// TestCellTableGeometry pins the geometry table: exactly one entry per
+// interned cell, each equal to the geometry geo.NewCellGeom derives from
+// the id, and distances from it bit-identical to geo.CellDistanceKm.
+func TestCellTableGeometry(t *testing.T) {
+	s := compiledTestStore(t)
+	s.Add(model.Record{Entity: "d", LatLng: geo.LatLng{Lat: 37.7, Lng: -122.5}, Unix: 40000, RadiusKm: 2})
+	s.Compile()
+	_, tab := s.CompiledView("a")
+	if len(tab.IDs) != len(s.cellIndex) || len(tab.Geom) != len(s.cellIndex) {
+		t.Fatalf("cell table has %d ids / %d geometries for %d interned cells",
+			len(tab.IDs), len(tab.Geom), len(s.cellIndex))
+	}
+	for k, id := range tab.IDs {
+		if tab.Geom[k] != geo.NewCellGeom(id) {
+			t.Fatalf("geometry %d does not match cell %v", k, id)
+		}
+		for j, other := range tab.IDs {
+			a, b := id, other
+			ga, gb := tab.Geom[k], tab.Geom[j]
+			if b < a {
+				a, b, ga, gb = b, a, gb, ga
+			}
+			got, want := geo.CellDistanceKmGeom(a, b, ga, gb), geo.CellDistanceKm(a, b)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("distance(%v, %v) = %v from the table, %v from the ids", a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestWindowStamps pins the window stamps: Build leaves every window at 0,
+// a weight-only add moves no stamp, and a new cell stamps exactly its
+// window with the store epoch it moved to — also when the cell lands in
+// an older window than the newest.
+func TestWindowStamps(t *testing.T) {
+	s := compiledTestStore(t)
+	stamps := func(e model.EntityID) []uint64 {
+		c, _ := s.CompiledView(e)
+		return c.Stamps
+	}
+	for _, st := range stamps("a") {
+		if st != 0 {
+			t.Fatalf("built window stamped %d, want 0", st)
+		}
+	}
+	s.Add(model.Record{Entity: "a", LatLng: geo.LatLng{Lat: 37.77, Lng: -122.42}, Unix: 110})
+	if got := stamps("a"); !slices.Equal(got, []uint64{0, 0}) {
+		t.Fatalf("weight-only add stamped %v", got)
+	}
+	s.Add(model.Record{Entity: "a", LatLng: geo.LatLng{Lat: 36.0, Lng: -121.0}, Unix: 50000})
+	e1 := s.Epoch()
+	if got := stamps("a"); !slices.Equal(got, []uint64{0, 0, e1}) {
+		t.Fatalf("new window stamped %v, want [0 0 %d]", got, e1)
+	}
+	// A late record with a new cell in the oldest window.
+	s.Add(model.Record{Entity: "a", LatLng: geo.LatLng{Lat: 35.0, Lng: -120.0}, Unix: 130})
+	e2 := s.Epoch()
+	if got := stamps("a"); !slices.Equal(got, []uint64{e2, 0, e1}) {
+		t.Fatalf("late cell stamped %v, want [%d 0 %d]", got, e2, e1)
+	}
+	if got := stamps("b"); !slices.Equal(got, []uint64{0, 0}) {
+		t.Fatalf("untouched entity's stamps moved: %v", got)
 	}
 }
 

@@ -33,6 +33,11 @@ type History struct {
 
 	leaves  map[int64]map[geo.CellID]float64
 	windows []int64 // sorted leaf window indices
+	// stamps[k] is the store epoch at which windows[k] last gained a cell
+	// (0 for windows built by Build). A window whose stamp has not moved
+	// still holds the cells it held then, so a pair-level bin selection
+	// made at or after that epoch is still valid; see Compiled.Stamps.
+	stamps  []uint64
 	numBins int
 	numRecs int
 
@@ -81,6 +86,7 @@ func newHistory(entity model.EntityID, recs []model.Record, w model.Windowing, l
 		h.windows = append(h.windows, win)
 	}
 	slices.Sort(h.windows)
+	h.stamps = make([]uint64, len(h.windows))
 	return h
 }
 
@@ -270,12 +276,14 @@ type Store struct {
 	epoch uint64
 
 	// Compiled read path: per-entity flat views plus the dense cell-id
-	// interner shared by all of them. compMu lets concurrent scorers take
-	// the read path while lazy recompiles serialize on the write side.
+	// interner shared by all of them, with each interned cell's geometry
+	// at the same index. compMu lets concurrent scorers take the read path
+	// while lazy recompiles serialize on the write side.
 	compMu    sync.RWMutex
 	compiled  map[model.EntityID]*Compiled
 	cellIndex map[geo.CellID]int32
 	cellIDs   []geo.CellID
+	cellGeom  []geo.CellGeom
 }
 
 // Build constructs the histories of every entity of the dataset at the
@@ -350,7 +358,9 @@ func (s *Store) WindowRange() (minWin, maxWin int64, ok bool) {
 // the epoch stands still, the score of any pair of unchanged histories is
 // unchanged too: weight-only adds touch exactly the histories they land
 // in. The compiled scoring views (compiled.go) and the root package's
-// incremental edge store both key their invalidation on this counter.
+// incremental edge store both key their invalidation on this counter, and
+// window stamps (Compiled.Stamps) record the value it moved to when a
+// window gained a cell.
 func (s *Store) Epoch() uint64 { return s.epoch }
 
 // IDF returns the inverse-document-frequency weight of a time-location bin

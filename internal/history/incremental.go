@@ -1,6 +1,7 @@
 package history
 
 import (
+	"slices"
 	"sort"
 
 	"slim/internal/geo"
@@ -35,6 +36,7 @@ func (s *Store) Add(rec model.Record) {
 	h.levels = nil // invalidate cached aggregation levels
 	h.mu.Unlock()
 
+	gained := false
 	addCell := func(cell geo.CellID, weight float64) {
 		cells := h.leaves[win]
 		if cells == nil {
@@ -45,6 +47,7 @@ func (s *Store) Add(rec model.Record) {
 			h.numBins++
 			s.binEntities[Bin{Window: win, Cell: cell}]++
 			s.epoch++ // bin frequency changed: baked IDF weights are stale
+			gained = true
 		}
 		cells[cell] += weight
 	}
@@ -61,6 +64,9 @@ func (s *Store) Add(rec model.Record) {
 
 	if newWindow {
 		h.insertWindow(win)
+	}
+	if gained {
+		h.stamps[h.windowIndex(win)] = s.epoch
 	}
 	s.totalBins += h.numBins - prevBins
 	s.avgBins = float64(s.totalBins) / float64(len(s.entities))
@@ -85,10 +91,16 @@ func (s *Store) insertEntity(e model.EntityID) {
 	s.entities[i] = e
 }
 
-// insertWindow keeps the history's window list sorted.
+// insertWindow keeps the history's window list (and the parallel stamp
+// list) sorted.
 func (h *History) insertWindow(win int64) {
-	i := sort.Search(len(h.windows), func(k int) bool { return h.windows[k] >= win })
-	h.windows = append(h.windows, 0)
-	copy(h.windows[i+1:], h.windows[i:])
-	h.windows[i] = win
+	i := h.windowIndex(win)
+	h.windows = slices.Insert(h.windows, i, win)
+	h.stamps = slices.Insert(h.stamps, i, 0)
+}
+
+// windowIndex returns the position of win in the sorted window list (or
+// where it would be inserted).
+func (h *History) windowIndex(win int64) int {
+	return sort.Search(len(h.windows), func(k int) bool { return h.windows[k] >= win })
 }

@@ -105,6 +105,10 @@ type runRecordJSON struct {
 	Dropped        int64   `json:"dropped"`
 	CandidatePairs int64   `json:"candidate_pairs"`
 	Links          int64   `json:"links"`
+	// WindowsReselected / WindowsReplayed split the run's scored common
+	// windows into fresh bin-pair selections and cached-selection replays.
+	WindowsReselected int64 `json:"windows_reselected"`
+	WindowsReplayed   int64 `json:"windows_replayed"`
 	// TailReusedPrefix / TailFullRebuild describe the publish tail's work
 	// for this run (zero / false on the from-scratch Hungarian path).
 	TailReusedPrefix int64              `json:"tail_reused_prefix"`
@@ -116,22 +120,24 @@ func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 func toRunRecordJSON(r engine.RunRecord) runRecordJSON {
 	return runRecordJSON{
-		Seq:              r.Seq,
-		Version:          r.Version,
-		Trigger:          r.Trigger,
-		StartUnixMs:      r.Start.UnixMilli(),
-		DurationMs:       ms(r.Duration),
-		ShortCircuit:     r.ShortCircuit,
-		FullRescore:      r.FullRescore,
-		Panicked:         r.Panicked,
-		PanicMsg:         r.PanicMsg,
-		Rescored:         r.Rescored,
-		Retained:         r.Retained,
-		Dropped:          r.Dropped,
-		CandidatePairs:   r.CandidatePairs,
-		Links:            r.Links,
-		TailReusedPrefix: r.TailReusedPrefix,
-		TailFullRebuild:  r.TailFullRebuild,
+		Seq:               r.Seq,
+		Version:           r.Version,
+		Trigger:           r.Trigger,
+		StartUnixMs:       r.Start.UnixMilli(),
+		DurationMs:        ms(r.Duration),
+		ShortCircuit:      r.ShortCircuit,
+		FullRescore:       r.FullRescore,
+		Panicked:          r.Panicked,
+		PanicMsg:          r.PanicMsg,
+		Rescored:          r.Rescored,
+		Retained:          r.Retained,
+		Dropped:           r.Dropped,
+		CandidatePairs:    r.CandidatePairs,
+		Links:             r.Links,
+		WindowsReselected: r.WindowsReselected,
+		WindowsReplayed:   r.WindowsReplayed,
+		TailReusedPrefix:  r.TailReusedPrefix,
+		TailFullRebuild:   r.TailFullRebuild,
 		Stages: stageDurationsJSON{
 			ApplyMs:          ms(r.ApplyDur),
 			CandidateIndexMs: ms(r.IndexDur),

@@ -184,3 +184,59 @@ func TestRunsEndpoint(t *testing.T) {
 		t.Fatalf("GET /v1/runs?limit=x: %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestRunsAndStatsReportSelectionCache checks the selection-cache
+// attribution surfaces: a streamed relink journals its re-selected and
+// replayed windows on /v1/runs, and /v1/stats reports the cache's
+// resident bytes. The first run selects every window; after a second
+// time-ordered batch most windows are replayed.
+func TestRunsAndStatsReportSelectionCache(t *testing.T) {
+	ts, _ := newTestServer(t)
+	ground := slim.GenerateCab(slim.CabOptions{NumTaxis: 8, Days: 1, MeanRecordIntervalSec: 600, Seed: 5})
+	w := slim.SampleWorkload(&ground, slim.SampleOptions{
+		IntersectionRatio: 0.5, InclusionProbE: 0.7, InclusionProbI: 0.7, Seed: 6,
+	})
+	lo, hi, _ := w.E.TimeRange()
+	cut := lo + (hi-lo)*9/10
+	post := func(late bool) {
+		for _, d := range []struct {
+			ds   string
+			recs []slim.Record
+		}{{"e", w.E.Records}, {"i", w.I.Records}} {
+			var part []slim.Record
+			for _, r := range d.recs {
+				if (r.Unix >= cut) == late {
+					part = append(part, r)
+				}
+			}
+			postJSON(t, ts.URL+"/v1/datasets/"+d.ds+"/records", map[string]any{"records": toWire(part)})
+		}
+		postJSON(t, ts.URL+"/v1/link", nil)
+	}
+	post(false)
+	post(true)
+
+	var runs struct {
+		Runs []struct {
+			WindowsReselected int64 `json:"windows_reselected"`
+			WindowsReplayed   int64 `json:"windows_replayed"`
+		} `json:"runs"`
+	}
+	getJSON(t, ts.URL+"/v1/runs", &runs)
+	if len(runs.Runs) != 2 {
+		t.Fatalf("%d journaled runs, want 2", len(runs.Runs))
+	}
+	first, second := runs.Runs[1], runs.Runs[0]
+	if first.WindowsReselected == 0 || first.WindowsReplayed != 0 {
+		t.Fatalf("first run %+v, want every window selected afresh", first)
+	}
+	if second.WindowsReplayed <= second.WindowsReselected {
+		t.Fatalf("second run %+v, want mostly replayed windows", second)
+	}
+
+	var st statsResponse
+	getJSON(t, ts.URL+"/v1/stats", &st)
+	if st.EdgeStore == nil || st.EdgeStore.SelectionBytes <= 0 {
+		t.Fatalf("edge_store.selection_bytes not reported: %+v", st.EdgeStore)
+	}
+}

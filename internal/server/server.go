@@ -733,6 +733,7 @@ type edgeStoreJSON struct {
 	RescoredTotal   uint64  `json:"rescored_total"`
 	DroppedTotal    uint64  `json:"dropped_total"`
 	ResidentBytes   int64   `json:"resident_bytes"`
+	SelectionBytes  int64   `json:"selection_bytes"`
 }
 
 // publishTailJSON is the wire form of the incremental publish-tail
@@ -862,6 +863,7 @@ func (s *Server) handleStats(w http.ResponseWriter, req *http.Request) {
 			RescoredTotal:   st.EdgeRescoredTotal,
 			DroppedTotal:    st.EdgeDroppedTotal,
 			ResidentBytes:   es.ResidentBytes,
+			SelectionBytes:  es.SelectionBytes,
 		}
 	}
 	if pt := st.PublishTail; pt != nil {

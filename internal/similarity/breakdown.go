@@ -1,10 +1,7 @@
 package similarity
 
 import (
-	"math"
-
 	"slim/internal/geo"
-	"slim/internal/history"
 	"slim/internal/model"
 )
 
@@ -62,37 +59,26 @@ type Breakdown struct {
 }
 
 // ScoreBreakdown computes the full per-window decomposition of
-// Score(u, v). It is the explainability slow path: it walks the same
-// compiled views and replicates the kernel's pairing and floating-point
-// accumulation order exactly — same distances (canonical CellDistanceKm
-// argument order), same argsorted MNN sweep, same MFN alibi pass, same
-// per-window and cross-window summation sequence — so the recomposed
-// Total is bit-identical to Score(u, v). Unlike Score it allocates
-// freely (fresh buffers, no pooled scratch) and leaves the scorer's work
-// counters untouched: calling it never perturbs Stats() or the 0 alloc/op
-// hot path.
+// Score(u, v). It is the explainability slow path: a view over the same
+// selection routine and weighting the kernel runs (selectWindow, then
+// p·weight/norm per term in term order, MFN terms only when negative, and
+// window sums added in window order), so the recomposed Total is
+// bit-identical to Score(u, v); DistanceKm is read back from the stores'
+// geometry tables. Unlike Score it allocates freely (fresh buffers, no
+// pooled scratch) and leaves the scorer's work counters untouched:
+// calling it never perturbs Stats() or the 0 alloc/op hot path.
 func (s *Scorer) ScoreBreakdown(u, v model.EntityID) *Breakdown {
 	bd := &Breakdown{U: u, V: v, NormU: 1, NormV: 1, Norm: 1}
-	cu, idsU := s.E.CompiledView(u)
-	cv, idsV := s.I.CompiledView(v)
-	if cu == nil || cv == nil {
+	pv, ok := s.view(u, v)
+	if !ok {
 		return bd
 	}
 	bd.Known = true
+	bd.NormU, bd.NormV, bd.Norm = pv.lu, pv.lv, pv.norm
 
-	lu, lv := 1.0, 1.0
-	if s.Par.UseNorm {
-		lu = s.E.NormFactor(u, s.Par.B)
-		lv = s.I.NormFactor(v, s.Par.B)
-	}
-	bd.NormU, bd.NormV = lu, lv
-	norm := lu * lv
-	if norm <= 0 {
-		norm = 1
-	}
-	bd.Norm = norm
-
-	wu, wv := cu.Windows, cv.Windows
+	sc := new(scratch)
+	allPairs := s.Par.Pairing == PairingAllPairs
+	wu, wv := pv.cu.Windows, pv.cv.Windows
 	for i, j := 0, 0; i < len(wu) && j < len(wv); {
 		switch {
 		case wu[i] < wv[j]:
@@ -100,7 +86,9 @@ func (s *Scorer) ScoreBreakdown(u, v model.EntityID) *Breakdown {
 		case wu[i] > wv[j]:
 			j++
 		default:
-			wb := s.breakdownWindow(cu, cv, i, j, idsU, idsV, norm)
+			sc.terms.reset()
+			s.selectWindow(sc, &sc.terms, &pv, i, j, allPairs, s.Par.UseMFN)
+			wb := s.breakdownWindow(&pv, i, j, &sc.terms)
 			// Add even an empty window's (zero) sum: Score adds every
 			// common window's return value, and the accumulation sequence
 			// must match term for term.
@@ -113,125 +101,40 @@ func (s *Scorer) ScoreBreakdown(u, v model.EntityID) *Breakdown {
 	return bd
 }
 
-// breakdownWindow decomposes one common window, mirroring scoreWindow's
-// control flow with recording added and pooled scratch replaced by fresh
-// buffers.
-func (s *Scorer) breakdownWindow(cu, cv *history.Compiled, ku, kv int, idsU, idsV []geo.CellID, norm float64) WindowBreakdown {
-	wb := WindowBreakdown{Window: cu.Windows[ku]}
-	loU, hiU := cu.Off[ku], cu.Off[ku+1]
-	loV, hiV := cv.Off[kv], cv.Off[kv+1]
-	nU, nV := int(hiU-loU), int(hiV-loV)
-	wb.BinsU, wb.BinsV = nU, nV
-	if nU == 0 || nV == 0 {
-		return wb
+// breakdownWindow decomposes one common window's selected terms,
+// weighing them exactly as sumWindow does.
+func (s *Scorer) breakdownWindow(pv *pairView, ku, kv int, t *terms) WindowBreakdown {
+	loU, loV := pv.cu.Off[ku], pv.cv.Off[kv]
+	nV := pv.binsV(kv)
+	wb := WindowBreakdown{
+		Window: pv.cu.Windows[ku],
+		BinsU:  int(pv.cu.Off[ku+1] - loU),
+		BinsV:  int(nV),
 	}
-	cellsU, cellsV := cu.Cells[loU:hiU], cv.Cells[loV:hiV]
-	idfU, idfV := cu.IDF[loU:hiU], cv.IDF[loV:hiV]
-
-	n := nU * nV
-	dist := make([]float64, n)
-	for i, ci := range cellsU {
-		a := idsU[ci]
-		row := dist[i*nV : (i+1)*nV]
-		for j, cj := range cellsV {
-			b := idsV[cj]
-			if a == b {
-				row[j] = 0
-				continue
-			}
-			// Canonical argument order, as in fillDistances: CellDistanceKm
-			// is not bit-symmetric in its arguments.
-			if b < a {
-				row[j] = geo.CellDistanceKm(b, a)
-			} else {
-				row[j] = geo.CellDistanceKm(a, b)
-			}
+	picks := s.picks(pv, ku, kv, t)
+	for k, p := range t.prox {
+		bu, bv := t.bins(k, nV)
+		mfn := k >= picks
+		weight := s.weight(pv, ku, kv, bu, bv)
+		c := p * weight / pv.norm
+		// Only strictly negative MFN deltas contribute, exactly as in the
+		// kernel (a zero-weight alibi pair produces -0.0, which is not < 0
+		// and is skipped there too).
+		if mfn && !(c < 0) {
+			continue
 		}
-	}
-
-	contrib := func(i, j int, mfn bool) PairContribution {
-		d := dist[i*nV+j]
-		p := Proximity(d, s.Par.RunawayKm, s.Par.MinLogArg)
-		weight := 1.0
-		if s.Par.UseIDF {
-			weight = math.Min(idfU[i], idfV[j])
-		}
-		return PairContribution{
-			CellU:        idsU[cellsU[i]],
-			CellV:        idsV[cellsV[j]],
-			DistanceKm:   d,
+		ci, cj := pv.cu.Cells[int(loU)+bu], pv.cv.Cells[int(loV)+bv]
+		wb.Sum += c
+		wb.Pairs = append(wb.Pairs, PairContribution{
+			CellU:        pv.tabU.IDs[ci],
+			CellV:        pv.tabV.IDs[cj],
+			DistanceKm:   cellDistance(pv.tabU, pv.tabV, ci, cj),
 			Proximity:    p,
 			IDFWeight:    weight,
-			Contribution: p * weight / norm,
+			Contribution: c,
 			Alibi:        p < 0,
 			MFN:          mfn,
-		}
-	}
-
-	if s.Par.Pairing == PairingAllPairs {
-		for i := 0; i < nU; i++ {
-			for j := 0; j < nV; j++ {
-				pc := contrib(i, j, false)
-				wb.Sum += pc.Contribution
-				wb.Pairs = append(wb.Pairs, pc)
-			}
-		}
-		return wb
-	}
-
-	nPairs := min(nU, nV)
-	order := make([]int32, n)
-	sortPairOrder(order, dist)
-
-	usedU := make([]bool, nU)
-	usedV := make([]bool, nV)
-	var sel []bool
-	if s.Par.UseMFN {
-		sel = make([]bool, n)
-	}
-	taken := 0
-	for _, k := range order {
-		if taken == nPairs {
-			break
-		}
-		i, j := int(k)/nV, int(k)%nV
-		if usedU[i] || usedV[j] {
-			continue
-		}
-		usedU[i], usedV[j] = true, true
-		if sel != nil {
-			sel[k] = true
-		}
-		pc := contrib(i, j, false)
-		wb.Sum += pc.Contribution
-		wb.Pairs = append(wb.Pairs, pc)
-		taken++
-	}
-
-	if !s.Par.UseMFN {
-		return wb
-	}
-	clear(usedU)
-	clear(usedV)
-	taken = 0
-	for k := n - 1; k >= 0 && taken < nPairs; k-- {
-		id := order[k]
-		i, j := int(id)/nV, int(id)%nV
-		if usedU[i] || usedV[j] {
-			continue
-		}
-		usedU[i], usedV[j] = true, true
-		taken++
-		if sel[id] {
-			continue
-		}
-		// Only strictly negative normalized deltas contribute, exactly as
-		// in the kernel (a zero-weight alibi pair produces -0.0, which is
-		// not < 0 and is skipped there too).
-		if pc := contrib(i, j, true); pc.Contribution < 0 {
-			wb.Sum += pc.Contribution
-			wb.Pairs = append(wb.Pairs, pc)
-		}
+		})
 	}
 	return wb
 }

@@ -10,21 +10,24 @@
 // MFN pass, disabling IDF, and disabling normalization.
 //
 // Scoring runs on the compiled read path of internal/history: flat
-// per-window cell/weight/IDF arrays instead of the build-time maps, with
-// all per-call state held in pooled per-goroutine scratch buffers. A warm
-// Score call performs zero heap allocations (enforced by
-// TestScoreWarmZeroAllocs) while producing bit-identical scores to the
-// original map-walking implementation (enforced by the compiled-vs-map
-// parity tests).
+// per-window cell/weight/IDF arrays instead of the build-time maps, cell
+// geometry read from the stores' cell tables, and all per-call state held
+// in pooled per-goroutine scratch buffers. A warm Score call performs zero
+// heap allocations (enforced by TestScoreWarmZeroAllocs) while producing
+// bit-identical scores to the original map-walking implementation
+// (enforced by the compiled-vs-map parity tests).
+//
+// Every scoring entry point — Score, ScoreSelected, ProbeRatio and
+// ScoreBreakdown — picks a window's bin pairs with the one selection
+// routine of select.go and weighs them afterwards, so the pairing rule
+// exists exactly once.
 package similarity
 
 import (
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
-	"slim/internal/geo"
 	"slim/internal/history"
 	"slim/internal/model"
 )
@@ -105,6 +108,10 @@ func Proximity(distKm, runawayKm, minLogArg float64) float64 {
 // Stats accumulates the work counters the paper's evaluation reports.
 // Counters are updated atomically, so one Scorer can be shared by many
 // goroutines; each Score call batches its counters into a single flush.
+//
+// BinComparisons and RecordComparisons count selection work: a window
+// whose cached selection is replayed (ScoreSelected) compares no bins, so
+// on incremental relinks they cover only the re-selected windows.
 type Stats struct {
 	// BinComparisons counts time-location bin pair distance evaluations.
 	BinComparisons int64
@@ -112,10 +119,16 @@ type Stats struct {
 	// (the product of per-window record counts of the two entities), the
 	// measure behind Fig. 4d / 5d / 11d.
 	RecordComparisons int64
-	// AlibiBinPairs counts bin pairs whose proximity was negative.
+	// AlibiBinPairs counts weighed bin pairs whose proximity was negative
+	// (replayed windows included: the count is the same either way).
 	AlibiBinPairs int64
 	// PairsScored counts entity pairs scored.
 	PairsScored int64
+	// WindowsSelected counts common windows whose bin pairs were selected
+	// afresh; WindowsReplayed counts common windows re-summed from a
+	// cached selection (see ScoreSelected).
+	WindowsSelected int64
+	WindowsReplayed int64
 }
 
 // Scorer computes similarity scores between entities of two history stores.
@@ -125,16 +138,13 @@ type Scorer struct {
 	stats Stats
 
 	// pool holds per-goroutine scratch state (distance matrix, argsort
-	// order, pairing masks, distance cache) so warm Score calls allocate
+	// order, pairing masks, selected terms) so warm Score calls allocate
 	// nothing and share no locks.
 	pool sync.Pool
 }
 
 // scratch is the per-goroutine working state of one scoring call. Buffers
-// grow to the largest window pair seen and are reused; dcache memoizes
-// cell-pair distances keyed by the stores' dense interned cell indices
-// (E-side index in the high half, I-side in the low half), so it stays
-// valid across pairs and recompiles — interned indices are never reused.
+// grow to the largest window pair seen and are reused.
 type scratch struct {
 	dist   []float64
 	order  []int32
@@ -142,10 +152,13 @@ type scratch struct {
 	usedV  []bool
 	sel    []bool // all-false between windows; reset via selIDs
 	selIDs []int32
-	dcache map[uint64]float64
+	// terms receives the selection routine's output (see selectWindow);
+	// suffix is ScoreSelected's rebuilt tail of a cached selection.
+	terms  terms
+	suffix Selection
 
 	// Batched stat counters, flushed once per scored pair.
-	binCmp, recCmp, alibi int64
+	binCmp, recCmp, alibi, selected, replayed int64
 }
 
 func (sc *scratch) floats(n int) []float64 {
@@ -186,7 +199,7 @@ func grownBools(buf *[]bool, n int) []bool {
 // object (used for the self-similarity queries of the auto-tuner).
 func NewScorer(e, i *history.Store, p Params) *Scorer {
 	s := &Scorer{E: e, I: i, Par: p}
-	s.pool.New = func() any { return &scratch{dcache: make(map[uint64]float64)} }
+	s.pool.New = func() any { return new(scratch) }
 	return s
 }
 
@@ -197,6 +210,8 @@ func (s *Scorer) Stats() Stats {
 		RecordComparisons: atomic.LoadInt64(&s.stats.RecordComparisons),
 		AlibiBinPairs:     atomic.LoadInt64(&s.stats.AlibiBinPairs),
 		PairsScored:       atomic.LoadInt64(&s.stats.PairsScored),
+		WindowsSelected:   atomic.LoadInt64(&s.stats.WindowsSelected),
+		WindowsReplayed:   atomic.LoadInt64(&s.stats.WindowsReplayed),
 	}
 }
 
@@ -204,42 +219,77 @@ func (s *Scorer) Stats() Stats {
 // touched counter instead of one per bin pair.
 func (s *Scorer) flush(sc *scratch) {
 	atomic.AddInt64(&s.stats.PairsScored, 1)
-	if sc.binCmp != 0 {
-		atomic.AddInt64(&s.stats.BinComparisons, sc.binCmp)
-		sc.binCmp = 0
+	for _, c := range [...]struct {
+		dst *int64
+		src *int64
+	}{
+		{&s.stats.BinComparisons, &sc.binCmp},
+		{&s.stats.RecordComparisons, &sc.recCmp},
+		{&s.stats.AlibiBinPairs, &sc.alibi},
+		{&s.stats.WindowsSelected, &sc.selected},
+		{&s.stats.WindowsReplayed, &sc.replayed},
+	} {
+		if *c.src != 0 {
+			atomic.AddInt64(c.dst, *c.src)
+			*c.src = 0
+		}
 	}
-	if sc.recCmp != 0 {
-		atomic.AddInt64(&s.stats.RecordComparisons, sc.recCmp)
-		sc.recCmp = 0
+}
+
+// pairView is the read state of one scored pair: both compiled views,
+// both stores' cell tables, and the length normalization.
+type pairView struct {
+	cu, cv     *history.Compiled
+	tabU, tabV history.CellTable
+	// lu, lv are L(u) and L(v) (1 when normalization is disabled); norm is
+	// their product, clamped to 1 when non-positive.
+	lu, lv, norm float64
+}
+
+// view loads the pair's read state; ok is false when either entity is
+// unknown.
+func (s *Scorer) view(u, v model.EntityID) (pv pairView, ok bool) {
+	pv.cu, pv.tabU = s.E.CompiledView(u)
+	pv.cv, pv.tabV = s.I.CompiledView(v)
+	if pv.cu == nil || pv.cv == nil {
+		return pv, false
 	}
-	if sc.alibi != 0 {
-		atomic.AddInt64(&s.stats.AlibiBinPairs, sc.alibi)
-		sc.alibi = 0
+	pv.lu, pv.lv = 1, 1
+	if s.Par.UseNorm {
+		pv.lu = s.E.NormFactor(u, s.Par.B)
+		pv.lv = s.I.NormFactor(v, s.Par.B)
 	}
+	pv.norm = pv.lu * pv.lv
+	if pv.norm <= 0 {
+		pv.norm = 1
+	}
+	return pv, true
+}
+
+// countSelection adds one selected window's work to the batched counters:
+// every cross bin pair gets a distance evaluation, and each corresponds to
+// countU×countV record comparisons. The per-window record sums were
+// accumulated at compile time in the same (sorted-cell) order the map
+// scorer used, so the rounded product is bit-identical.
+func (sc *scratch) countSelection(pv *pairView, ku, kv int) {
+	nU := int(pv.cu.Off[ku+1] - pv.cu.Off[ku])
+	nV := int(pv.cv.Off[kv+1] - pv.cv.Off[kv])
+	sc.binCmp += int64(nU * nV)
+	sc.recCmp += int64(pv.cu.WinRecs[ku]*pv.cv.WinRecs[kv] + 0.5)
+	sc.selected++
 }
 
 // Score computes S(u, v) per Eq. 2 / Alg. 1 for u in store E and v in
 // store I. Unknown entities score 0.
 func (s *Scorer) Score(u, v model.EntityID) float64 {
-	cu, idsU := s.E.CompiledView(u)
-	cv, idsV := s.I.CompiledView(v)
-	if cu == nil || cv == nil {
+	pv, ok := s.view(u, v)
+	if !ok {
 		return 0
 	}
-
-	lu, lv := 1.0, 1.0
-	if s.Par.UseNorm {
-		lu = s.E.NormFactor(u, s.Par.B)
-		lv = s.I.NormFactor(v, s.Par.B)
-	}
-	norm := lu * lv
-	if norm <= 0 {
-		norm = 1
-	}
-
 	sc := s.pool.Get().(*scratch)
+	allPairs := s.Par.Pairing == PairingAllPairs
 	var total float64
-	wu, wv := cu.Windows, cv.Windows
+	wu, wv := pv.cu.Windows, pv.cv.Windows
 	for i, j := 0, 0; i < len(wu) && j < len(wv); {
 		switch {
 		case wu[i] < wv[j]:
@@ -247,7 +297,10 @@ func (s *Scorer) Score(u, v model.EntityID) float64 {
 		case wu[i] > wv[j]:
 			j++
 		default:
-			total += s.scoreWindow(sc, cu, cv, i, j, idsU, idsV, norm)
+			sc.countSelection(&pv, i, j)
+			sc.terms.reset()
+			s.selectWindow(sc, &sc.terms, &pv, i, j, allPairs, s.Par.UseMFN)
+			total += s.sumWindow(sc, &pv, i, j, &sc.terms)
 			i++
 			j++
 		}
@@ -255,171 +308,6 @@ func (s *Scorer) Score(u, v model.EntityID) float64 {
 	s.flush(sc)
 	s.pool.Put(sc)
 	return total
-}
-
-// fillDistances writes the nU×nV cell-distance matrix for one window pair
-// into dist (row-major over the V side), memoizing through the scratch
-// cache keyed by dense interned cell indices.
-func (s *Scorer) fillDistances(sc *scratch, dist []float64, cellsU, cellsV []int32, idsU, idsV []geo.CellID) {
-	nV := len(cellsV)
-	for i, ci := range cellsU {
-		a := idsU[ci]
-		row := dist[i*nV : (i+1)*nV]
-		for j, cj := range cellsV {
-			b := idsV[cj]
-			if a == b {
-				row[j] = 0
-				continue
-			}
-			key := uint64(uint32(ci))<<32 | uint64(uint32(cj))
-			d, ok := sc.dcache[key]
-			if !ok {
-				// Canonical argument order: CellDistanceKm subtracts both
-				// circumradii, which is not bit-symmetric in its arguments.
-				if b < a {
-					d = geo.CellDistanceKm(b, a)
-				} else {
-					d = geo.CellDistanceKm(a, b)
-				}
-				sc.dcache[key] = d
-			}
-			row[j] = d
-		}
-	}
-}
-
-// sortPairOrder argsorts the flat bin-pair ids by (distance, id). Pair ids
-// are i*nV+j, so the id tiebreak is exactly the (i, j) index order of the
-// map-based implementation, keeping scores deterministic; distances are
-// unique-keyed, so any correct sort yields the identical order.
-func sortPairOrder(order []int32, dist []float64) {
-	for k := range order {
-		order[k] = int32(k)
-	}
-	slices.SortFunc(order, func(x, y int32) int {
-		dx, dy := dist[x], dist[y]
-		switch {
-		case dx < dy:
-			return -1
-		case dx > dy:
-			return 1
-		}
-		return int(x) - int(y)
-	})
-}
-
-// scoreWindow computes the contribution of the common temporal window at
-// index ku of cu and kv of cv.
-func (s *Scorer) scoreWindow(sc *scratch, cu, cv *history.Compiled, ku, kv int, idsU, idsV []geo.CellID, norm float64) float64 {
-	loU, hiU := cu.Off[ku], cu.Off[ku+1]
-	loV, hiV := cv.Off[kv], cv.Off[kv+1]
-	nU, nV := int(hiU-loU), int(hiV-loV)
-	if nU == 0 || nV == 0 {
-		return 0
-	}
-	cellsU, cellsV := cu.Cells[loU:hiU], cv.Cells[loV:hiV]
-	idfU, idfV := cu.IDF[loU:hiU], cv.IDF[loV:hiV]
-
-	// Work accounting: every cross bin pair gets a distance evaluation,
-	// and each corresponds to countU×countV record comparisons. The
-	// per-window record sums were accumulated at compile time in the same
-	// (sorted-cell) order the map scorer used, so the rounded product is
-	// bit-identical.
-	sc.binCmp += int64(nU * nV)
-	sc.recCmp += int64(cu.WinRecs[ku]*cv.WinRecs[kv] + 0.5)
-
-	n := nU * nV
-	dist := sc.floats(n)
-	s.fillDistances(sc, dist, cellsU, cellsV, idsU, idsV)
-
-	delta := func(i, j int) float64 {
-		p := Proximity(dist[i*nV+j], s.Par.RunawayKm, s.Par.MinLogArg)
-		if p < 0 {
-			sc.alibi++
-		}
-		weight := 1.0
-		if s.Par.UseIDF {
-			weight = math.Min(idfU[i], idfV[j])
-		}
-		return p * weight / norm
-	}
-
-	if s.Par.Pairing == PairingAllPairs {
-		var sum float64
-		for i := 0; i < nU; i++ {
-			for j := 0; j < nV; j++ {
-				sum += delta(i, j)
-			}
-		}
-		return sum
-	}
-
-	// Mutually-nearest-neighbor pairing N_w (Sec. 3.1.2): repeatedly select
-	// the globally closest unused pair until the smaller side is
-	// exhausted. Implemented as one argsort of all cross pairs followed by
-	// a greedy sweep — identical selection, O(nm log nm) instead of
-	// O(min(n,m)·n·m).
-	nPairs := min(nU, nV)
-	order := sc.ints(n)
-	sortPairOrder(order, dist)
-
-	usedU := grownBools(&sc.usedU, nU)
-	usedV := grownBools(&sc.usedV, nV)
-	var sel []bool
-	selIDs := sc.selIDs[:0]
-	if s.Par.UseMFN {
-		sel = sc.selMask(n)
-	}
-
-	var sum float64
-	taken := 0
-	for _, k := range order {
-		if taken == nPairs {
-			break
-		}
-		i, j := int(k)/nV, int(k)%nV
-		if usedU[i] || usedV[j] {
-			continue
-		}
-		usedU[i], usedV[j] = true, true
-		if sel != nil {
-			sel[k] = true
-			selIDs = append(selIDs, k)
-		}
-		sum += delta(i, j)
-		taken++
-	}
-	sc.selIDs = selIDs
-
-	if !s.Par.UseMFN {
-		return sum
-	}
-
-	// Mutually-furthest-neighbor pass N′_w: same sweep from the far end,
-	// adding only alibi (negative) deltas. Pairs already selected by MNN
-	// are skipped so an alibi is never double counted (Design decision 2).
-	clear(usedU)
-	clear(usedV)
-	taken = 0
-	for k := n - 1; k >= 0 && taken < nPairs; k-- {
-		id := order[k]
-		i, j := int(id)/nV, int(id)%nV
-		if usedU[i] || usedV[j] {
-			continue
-		}
-		usedU[i], usedV[j] = true, true
-		taken++
-		if sel[id] {
-			continue
-		}
-		if d := delta(i, j); d < 0 {
-			sum += d
-		}
-	}
-	for _, id := range selIDs {
-		sel[id] = false
-	}
-	return sum
 }
 
 // ProbeRatio supports the spatial-level auto-tuner (Sec. 3.3). It returns
@@ -430,14 +318,13 @@ func (s *Scorer) scoreWindow(sc *scratch, cu, cv *history.Compiled, ku, kv int, 
 // false when the pair shares no usable evidence (no common windows or all
 // IDF weights zero).
 func (s *Scorer) ProbeRatio(u, v model.EntityID) (ratio float64, ok bool) {
-	cu, idsU := s.E.CompiledView(u)
-	cv, idsV := s.I.CompiledView(v)
-	if cu == nil || cv == nil {
+	pv, known := s.view(u, v)
+	if !known {
 		return 0, false
 	}
 	sc := s.pool.Get().(*scratch)
 	var num, den float64
-	wu, wv := cu.Windows, cv.Windows
+	wu, wv := pv.cu.Windows, pv.cv.Windows
 	for i, j := 0, 0; i < len(wu) && j < len(wv); {
 		switch {
 		case wu[i] < wv[j]:
@@ -445,7 +332,16 @@ func (s *Scorer) ProbeRatio(u, v model.EntityID) (ratio float64, ok bool) {
 		case wu[i] > wv[j]:
 			j++
 		default:
-			s.probeWindow(sc, cu, cv, i, j, idsU, idsV, &num, &den)
+			// The MNN sweep alone, whatever the configured pairing.
+			sc.terms.reset()
+			s.selectWindow(sc, &sc.terms, &pv, i, j, false, false)
+			nV := pv.binsV(j)
+			for t, p := range sc.terms.prox {
+				bu, bv := sc.terms.bins(t, nV)
+				weight := s.weight(&pv, i, j, bu, bv)
+				num += p * weight
+				den += weight // Proximity(0) == 1
+			}
 			i++
 			j++
 		}
@@ -455,47 +351,6 @@ func (s *Scorer) ProbeRatio(u, v model.EntityID) (ratio float64, ok bool) {
 		return 0, false
 	}
 	return num / den, true
-}
-
-// probeWindow runs the MNN sweep of one common window, accumulating the
-// actual (num) and idealized (den) contributions.
-func (s *Scorer) probeWindow(sc *scratch, cu, cv *history.Compiled, ku, kv int, idsU, idsV []geo.CellID, num, den *float64) {
-	loU, hiU := cu.Off[ku], cu.Off[ku+1]
-	loV, hiV := cv.Off[kv], cv.Off[kv+1]
-	nU, nV := int(hiU-loU), int(hiV-loV)
-	if nU == 0 || nV == 0 {
-		return
-	}
-	cellsU, cellsV := cu.Cells[loU:hiU], cv.Cells[loV:hiV]
-	idfU, idfV := cu.IDF[loU:hiU], cv.IDF[loV:hiV]
-
-	n := nU * nV
-	dist := sc.floats(n)
-	s.fillDistances(sc, dist, cellsU, cellsV, idsU, idsV)
-	order := sc.ints(n)
-	sortPairOrder(order, dist)
-
-	usedU := grownBools(&sc.usedU, nU)
-	usedV := grownBools(&sc.usedV, nV)
-	nPairs := min(nU, nV)
-	taken := 0
-	for _, k := range order {
-		if taken == nPairs {
-			break
-		}
-		i, j := int(k)/nV, int(k)%nV
-		if usedU[i] || usedV[j] {
-			continue
-		}
-		usedU[i], usedV[j] = true, true
-		taken++
-		weight := 1.0
-		if s.Par.UseIDF {
-			weight = math.Min(idfU[i], idfV[j])
-		}
-		*num += Proximity(dist[int(k)], s.Par.RunawayKm, s.Par.MinLogArg) * weight
-		*den += weight // Proximity(0) == 1
-	}
 }
 
 // forEachCommonWindow walks two sorted window slices and invokes fn for

@@ -1,6 +1,7 @@
 package slim
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -133,5 +134,131 @@ func TestRelinkIncrementalSpeedupOverFullRescore(t *testing.T) {
 	if speedup < 5 {
 		t.Fatalf("incremental relink only %.1fx faster than full rescore (median %v vs %v); gate requires >= 5x",
 			speedup, mi, mf)
+	}
+}
+
+// timeOrderedFeed is the streaming-relink scenario of a live feed: the
+// standard Cab workload (as in relinkFixture) split at 75% of its time
+// span, the prefix preloaded into a brute-force Linker and linked once,
+// then one warm-up burst streamed and linked so every candidate pair holds
+// a cached selection. Bursts are 1% of the workload's records, in arrival
+// order; unionE/unionI hold everything the linker has ingested, for cold
+// relinks.
+type timeOrderedFeed struct {
+	lk             *Linker
+	cfg            Config
+	unionE, unionI []Record
+	rest           []streamedRecord
+	burst          int
+}
+
+func newTimeOrderedFeed(tb testing.TB, taxis int) *timeOrderedFeed {
+	tb.Helper()
+	ground := GenerateCab(CabOptions{NumTaxis: taxis, Days: 2, MeanRecordIntervalSec: 360, Seed: 99})
+	w := SampleWorkload(&ground, SampleOptions{
+		IntersectionRatio: 0.5, InclusionProbE: 0.5, InclusionProbI: 0.5, Seed: 100,
+	})
+	preE, preI, rest := timeOrderedStream(w, 0.75)
+	f := &timeOrderedFeed{
+		cfg:    Defaults(),
+		unionE: preE,
+		unionI: preI,
+		rest:   rest,
+		burst:  max((len(w.E.Records)+len(w.I.Records))/100, 1),
+	}
+	f.cfg.MinRecords = -1 // keep every entity, so cold relinks see the same sets
+	lk, err := NewLinker(Dataset{Name: "E", Records: preE}, Dataset{Name: "I", Records: preI}, f.cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f.lk = lk
+	lk.Run()
+	f.next()
+	lk.Run()
+	return f
+}
+
+// next streams the next burst into the linker; it reports false once the
+// feed cannot fill a whole burst.
+func (f *timeOrderedFeed) next() bool {
+	if len(f.rest) < f.burst {
+		return false
+	}
+	for _, sr := range f.rest[:f.burst] {
+		if sr.isE {
+			f.lk.AddE(sr.rec)
+			f.unionE = append(f.unionE, sr.rec)
+		} else {
+			f.lk.AddI(sr.rec)
+			f.unionI = append(f.unionI, sr.rec)
+		}
+	}
+	f.rest = f.rest[f.burst:]
+	return true
+}
+
+// cold links everything the feed has delivered from scratch.
+func (f *timeOrderedFeed) cold(tb testing.TB) Result {
+	tb.Helper()
+	lk, err := NewLinker(Dataset{Name: "E", Records: f.unionE}, Dataset{Name: "I", Records: f.unionI}, f.cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return lk.Run()
+}
+
+// BenchmarkRelinkTimeOrderedBurst measures a full Run after a 1% burst of
+// time-ordered records — new windows and new bins every burst, so every
+// run is an epoch full rescore, served by replaying cached selections.
+func BenchmarkRelinkTimeOrderedBurst(b *testing.B) {
+	f := newTimeOrderedFeed(b, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if !f.next() {
+			f = newTimeOrderedFeed(b, 64)
+			f.next()
+		}
+		b.StartTimer()
+		res := f.lk.Run()
+		if !res.Stats.EdgeStore.FullRescore {
+			b.Fatal("time-ordered burst took the delta path; the benchmark must measure the replayed full rescore")
+		}
+	}
+}
+
+// TestRelinkTimeOrderedReselectsOnlyNewWindows is the selection cache's
+// work gate (deterministic, not timed): over 20 time-ordered 1% bursts on
+// the 64-taxi feed, at most 5% of the scored pairs' common windows may be
+// re-selected — the rest must be replayed from cached selections — and
+// every result must be bit-identical to a cold relink of the same
+// records.
+func TestRelinkTimeOrderedReselectsOnlyNewWindows(t *testing.T) {
+	f := newTimeOrderedFeed(t, 64)
+	const bursts = 20
+	var reselected, replayed int64
+	for b := 0; b < bursts; b++ {
+		if !f.next() {
+			t.Fatalf("feed ran dry after %d bursts", b)
+		}
+		got := f.lk.Run()
+		requireSameResult(t, fmt.Sprintf("burst %d", b), got, f.cold(t))
+		reselected += got.Stats.WindowsReselected
+		replayed += got.Stats.WindowsReplayed
+	}
+	common := reselected + replayed
+	share := float64(reselected) / float64(common)
+	var windows, terms int
+	for _, sel := range f.lk.edges.sel {
+		windows += sel.NumWindows()
+		terms += sel.NumTerms()
+	}
+	pairs := float64(len(f.lk.edges.sel))
+	t.Logf("%d bursts: %d of %d common windows re-selected (%.2f%%); per pair %.0f cached windows, %.0f terms, %.0f selection bytes",
+		bursts, reselected, common, 100*share, float64(windows)/pairs, float64(terms)/pairs,
+		float64(f.lk.EdgeStoreStats().SelectionBytes)/pairs)
+	if common == 0 || share > 0.05 {
+		t.Fatalf("re-selected %d of %d common windows (%.2f%%); gate allows at most 5%%", reselected, common, 100*share)
 	}
 }

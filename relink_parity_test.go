@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"slim/internal/lsh"
 )
 
 // sameLinksBits reports whether two link lists are bit-identical:
@@ -223,5 +225,232 @@ func TestRelinkParityIncrementalVsFromScratch(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// streamedRecord is one record of a time-ordered feed and the dataset it
+// arrives on.
+type streamedRecord struct {
+	rec Record
+	isE bool
+}
+
+// timeOrderedStream splits a workload at the given fraction of its time
+// span: the records before the cut preload a linker, the rest arrive in
+// time order with E and I merged, the way a live feed delivers them.
+func timeOrderedStream(w SampledWorkload, frac float64) (preE, preI []Record, rest []streamedRecord) {
+	loE, hiE, _ := w.E.TimeRange()
+	loI, hiI, _ := w.I.TimeRange()
+	lo, hi := min(loE, loI), max(hiE, hiI)
+	cut := lo + int64(frac*float64(hi-lo))
+	for _, r := range w.E.Records {
+		if r.Unix < cut {
+			preE = append(preE, r)
+		} else {
+			rest = append(rest, streamedRecord{r, true})
+		}
+	}
+	for _, r := range w.I.Records {
+		if r.Unix < cut {
+			preI = append(preI, r)
+		} else {
+			rest = append(rest, streamedRecord{r, false})
+		}
+	}
+	slices.SortStableFunc(rest, func(a, b streamedRecord) int { return int(a.rec.Unix - b.rec.Unix) })
+	return preE, preI, rest
+}
+
+// requireSelectionBound asserts the selection cache's bound: every entry
+// belongs to a current candidate pair, after a full rescore there is
+// exactly one entry per candidate pair, and SelectionBytes equals a
+// recount of the entries.
+func requireSelectionBound(t *testing.T, lk *Linker, step string) {
+	t.Helper()
+	cands := make(map[lsh.Pair]bool)
+	for _, p := range lk.CandidatePairs() {
+		cands[p] = true
+	}
+	var recount int64
+	for p, sel := range lk.edges.sel {
+		if !cands[p] {
+			t.Fatalf("%s: selection cached for non-candidate pair %v", step, p)
+		}
+		recount += selectionEntryOverheadBytes + sel.Bytes()
+	}
+	if got := lk.EdgeStoreStats().SelectionBytes; got != recount {
+		t.Fatalf("%s: SelectionBytes %d, recount %d", step, got, recount)
+	}
+	if lk.edges.lastFull && len(lk.edges.sel) != len(cands) {
+		t.Fatalf("%s: %d selections after a full rescore of %d candidate pairs", step, len(lk.edges.sel), len(cands))
+	}
+}
+
+// TestRelinkParityTimeOrderedBursts is the selection cache's exactness
+// gate at the linker level: a preloaded Linker is fed the rest of a
+// workload in time-ordered bursts — new windows every burst, a late
+// record adding a cell to an old window on each side mid-sequence, a new
+// entity on each side, and region records (multi-cell windows) — and
+// after every Run its result must be bit-identical to a cold NewLinker +
+// Run over the same records. The brute-force run covers every scoring
+// ablation; the LSH run covers candidate churn, where selections must
+// leave with their pairs (requireSelectionBound).
+func TestRelinkParityTimeOrderedBursts(t *testing.T) {
+	lshCfg := &LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 13, NumBuckets: 1 << 14}
+	scenarios := []struct {
+		name string
+		lsh  *LSHConfig
+		abl  Ablation
+	}{
+		{"brute", nil, Ablation{}},
+		{"lsh", lshCfg, Ablation{}},
+		{"all-pairs", nil, Ablation{AllPairs: true}},
+		{"no-mfn", nil, Ablation{DisableMFN: true}},
+		{"no-idf", nil, Ablation{DisableIDF: true}},
+		{"no-norm", nil, Ablation{DisableNorm: true}},
+	}
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			cfg := Defaults()
+			cfg.LSH = sc.lsh
+			cfg.Ablation = sc.abl
+			// Keep every entity, so a cold linker over the same records
+			// sees exactly the streamed entity sets.
+			cfg.MinRecords = -1
+
+			ground := GenerateCab(CabOptions{NumTaxis: 14, Days: 2, MeanRecordIntervalSec: 420, Seed: 23})
+			w := SampleWorkload(&ground, SampleOptions{
+				IntersectionRatio: 0.5, InclusionProbE: 0.7, InclusionProbI: 0.7, Seed: 24,
+			})
+			for _, recs := range [][]Record{w.E.Records, w.I.Records} {
+				for k := range recs {
+					if k%9 == 0 {
+						recs[k].RadiusKm = 0.4 + 0.2*float64(k%3)
+					}
+				}
+			}
+			preE, preI, rest := timeOrderedStream(w, 0.6)
+			inc, err := NewLinker(Dataset{Name: "E", Records: preE}, Dataset{Name: "I", Records: preI}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inc.Run()
+			unionE, unionI := slices.Clone(preE), slices.Clone(preI)
+			add := func(r Record, isE bool) {
+				if isE {
+					inc.AddE(r)
+					unionE = append(unionE, r)
+				} else {
+					inc.AddI(r)
+					unionI = append(unionI, r)
+				}
+			}
+
+			const bursts = 8
+			var replayed int64
+			churn := false
+			prev := make(map[lsh.Pair]bool)
+			for b := 0; b < bursts; b++ {
+				chunk := rest[len(rest)*b/bursts : len(rest)*(b+1)/bursts]
+				for _, sr := range chunk {
+					add(sr.rec, sr.isE)
+				}
+				switch b {
+				case 2:
+					// Late records: a new cell in an old window on each side.
+					r := preE[len(preE)/3]
+					r.LatLng.Lat += 0.5
+					add(r, true)
+					r = preI[len(preI)/3]
+					r.LatLng.Lng += 0.5
+					r.RadiusKm = 0.6
+					add(r, false)
+				case 4:
+					// A new entity on each side, moving both stores' N.
+					for k, sr := range chunk[:8] {
+						r := sr.rec
+						r.Entity = "fresh-e"
+						r.Unix += int64(k)
+						add(r, true)
+						r.Entity = "fresh-i"
+						r.Unix += 40
+						add(r, false)
+					}
+				}
+				got := inc.Run()
+				step := fmt.Sprintf("burst %d", b)
+				fresh, err := NewLinker(Dataset{Name: "E", Records: unionE}, Dataset{Name: "I", Records: unionI}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, step, got, fresh.Run())
+				requireSelectionBound(t, inc, step)
+				replayed += got.Stats.WindowsReplayed
+				if got.Stats.WindowsReselected == 0 {
+					t.Fatalf("%s: new windows arrived but none was re-selected", step)
+				}
+
+				cur := make(map[lsh.Pair]bool)
+				for _, p := range inc.CandidatePairs() {
+					cur[p] = true
+				}
+				for p := range prev {
+					if !cur[p] {
+						churn = true
+					}
+				}
+				prev = cur
+			}
+			if replayed == 0 {
+				t.Fatal("no window was ever replayed from a cached selection")
+			}
+			if sc.lsh != nil && !churn {
+				t.Fatal("LSH workload never removed a candidate pair")
+			}
+		})
+	}
+}
+
+// TestLinkDatasetsWorkCountersPinned pins the one-shot pipeline's work
+// counters on the standard fixture (the relinkFixture workload, brute
+// force and LSH) to their values before selection caching existed, so
+// the work measure behind the paper's Fig. 4d/5d cannot drift: a one-shot
+// linkage selects every common window, replays none, and leaves no cached
+// selection behind.
+func TestLinkDatasetsWorkCountersPinned(t *testing.T) {
+	ground := GenerateCab(CabOptions{NumTaxis: 64, Days: 2, MeanRecordIntervalSec: 360, Seed: 99})
+	w := SampleWorkload(&ground, SampleOptions{
+		IntersectionRatio: 0.5, InclusionProbE: 0.5, InclusionProbI: 0.5, Seed: 100,
+	})
+	cases := []struct {
+		name                                  string
+		lsh                                   *LSHConfig
+		cands, pos, binCmp, recCmp, alibiBins int64
+	}{
+		{"brute", nil, 1764, 1185, 375582, 531629, 88587},
+		{"lsh", &LSHConfig{Threshold: 0.2, StepWindows: 48, SpatialLevel: 12, NumBuckets: 1 << 14}, 22, 21, 5873, 8602, 290},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Defaults()
+			cfg.LSH = c.lsh
+			lk, err := NewLinker(w.E, w.I, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := lk.Run().Stats
+			got := [5]int64{st.CandidatePairs, st.PositiveEdges, st.BinComparisons, st.RecordComparisons, st.AlibiBinPairs}
+			want := [5]int64{c.cands, c.pos, c.binCmp, c.recCmp, c.alibiBins}
+			if got != want {
+				t.Fatalf("counters (candidates, positive, bin cmp, record cmp, alibi) = %v, want %v", got, want)
+			}
+			if st.WindowsReselected == 0 || st.WindowsReplayed != 0 {
+				t.Fatalf("one-shot run re-selected %d and replayed %d windows; want all selected, none replayed",
+					st.WindowsReselected, st.WindowsReplayed)
+			}
+			if len(lk.edges.sel) != 0 || st.EdgeStore.SelectionBytes != 0 {
+				t.Fatalf("one-shot run cached %d selections (%d bytes)", len(lk.edges.sel), st.EdgeStore.SelectionBytes)
+			}
+		})
 	}
 }

@@ -110,6 +110,7 @@ slim_go_heap_alloc_bytes
 slim_go_gc_pause_total_seconds
 slim_edge_store_pairs
 slim_edge_store_resident_bytes
+slim_selection_cache_bytes
 slim_run_journal_records
 slim_publish_tail_edges
 slim_publish_tail_reused_prefix_len

@@ -51,10 +51,20 @@ type Stats struct {
 	// PositiveEdges is how many scored pairs produced a positive score.
 	PositiveEdges int64
 	// BinComparisons / RecordComparisons / AlibiBinPairs mirror the
-	// similarity scorer's counters (Fig. 4c/4d instrumentation).
+	// similarity scorer's counters (Fig. 4c/4d instrumentation). Bin and
+	// record comparisons count selection work, so on incremental runs
+	// they cover only the re-selected windows (see WindowsReselected).
 	BinComparisons    int64
 	RecordComparisons int64
 	AlibiBinPairs     int64
+	// WindowsReselected counts the common windows of scored pairs whose
+	// bin pairs were selected afresh (every window when no selection is
+	// cached, as in LinkDatasets); WindowsReplayed counts the windows
+	// re-summed from a pair's cached selection with the current IDF
+	// weights and norm. Selections are cached once the linker has ingested
+	// incrementally (AddE/AddI).
+	WindowsReselected int64
+	WindowsReplayed   int64
 	// LSH holds filter statistics when the filter was enabled.
 	LSH *LSHStats
 	// EdgeStore reports the incremental edge store behind this run: how
@@ -141,6 +151,11 @@ type Linker struct {
 	// prevStats snapshots the scorer counters so repeated Run calls report
 	// per-run work.
 	prevStats similarity.Stats
+	// streaming is set by the first AddE/AddI: from then on every scored
+	// pair keeps a cached bin-pair selection in the edge store. One-shot
+	// linkages (LinkDatasets, the experiments, slim-link) never set it and
+	// keep O(workers) scoring memory.
+	streaming bool
 }
 
 // NewLinker validates the configuration and both datasets, drops
@@ -317,6 +332,9 @@ func (lk *Linker) AddE(recs ...Record) { lk.add(lk.storeE, lk.sigStoreE, lk.dirt
 func (lk *Linker) AddI(recs ...Record) { lk.add(lk.storeI, lk.sigStoreI, lk.dirtyI, recs) }
 
 func (lk *Linker) add(store, sigStore *history.Store, dirty map[EntityID]struct{}, recs []Record) {
+	if len(recs) > 0 {
+		lk.streaming = true
+	}
 	for _, r := range recs {
 		store.Add(r)
 		if sigStore != nil && sigStore != store {
@@ -440,8 +458,11 @@ func (lk *Linker) NumCandidatePairs() int64 {
 // cached score, which is bit-identical to what a rescore would produce
 // (scores are pure functions of the two histories and the epoch-versioned
 // dataset statistics — see edges.go). Any epoch movement (new bin or new
-// entity) forces a full rescore of the whole candidate set, restoring
-// exactly the old per-run behavior.
+// entity) forces a full rescore of the whole candidate set. Once the
+// linker streams (AddE/AddI), each pair's rescore replays its cached
+// per-window bin-pair selection with the current weights and re-selects
+// only the windows that changed (similarity.ScoreSelected), so a full
+// rescore costs a linear re-sum rather than a re-selection.
 //
 // The returned Stats carry private LSHStats/EdgeStoreStats copies, so a
 // later refresh never mutates results a caller still holds. The returned
@@ -470,22 +491,23 @@ func (lk *Linker) RunEdges() ([]Link, Stats) {
 	epochE, epochI := lk.storeE.Epoch(), lk.storeI.Epoch()
 	full := !lk.edges.built || lk.edges.pendFull ||
 		epochE != lk.edges.epochE || epochI != lk.edges.epochI
+	lk.edges.dropSelections()
 	if full {
-		var edges []matching.Edge
+		var pairAt func(int) lsh.Pair
+		total := 0
 		if lk.candidates != nil {
 			pairs := lk.candidates
-			edges = lk.scoreIndexed(len(pairs), func(k int) (EntityID, EntityID) {
-				return pairs[k].U, pairs[k].V
-			})
+			pairAt = func(k int) lsh.Pair { return pairs[k] }
+			total = len(pairs)
 		} else {
 			// Brute force: enumerate the |E|×|I| cross product by index
 			// instead of materializing multi-GiB pair slices.
 			es := lk.storeE.Entities()
 			is := lk.storeI.Entities()
-			edges = lk.scoreIndexed(len(es)*len(is), func(k int) (EntityID, EntityID) {
-				return es[k/len(is)], is[k%len(is)]
-			})
+			pairAt = func(k int) lsh.Pair { return lsh.Pair{U: es[k/len(is)], V: is[k%len(is)]} }
+			total = len(es) * len(is)
 		}
+		edges := lk.scoreIndexed(total, pairAt, lk.selections(total, pairAt))
 		lk.edges.resetFull(toLinks(edges), seq)
 		lk.edges.lastRescored, lk.edges.lastRetained, lk.edges.lastDropped = nPairs, 0, 0
 	} else {
@@ -498,7 +520,8 @@ func (lk *Linker) RunEdges() ([]Link, Stats) {
 		} else {
 			pairs = lk.bruteDeltaPairs()
 		}
-		dropped := lk.edges.apply(pairs, lk.scorePairs(pairs), seq)
+		pairAt := func(k int) lsh.Pair { return pairs[k] }
+		dropped := lk.edges.apply(pairs, lk.scorePairs(pairs, lk.selections(len(pairs), pairAt)), seq)
 		lk.edges.lastRescored = int64(len(pairs))
 		lk.edges.lastRetained = nPairs - int64(len(pairs))
 		lk.edges.lastDropped = dropped
@@ -510,19 +533,16 @@ func (lk *Linker) RunEdges() ([]Link, Stats) {
 	links := lk.edges.materialize()
 	lk.edges.lastUpdate = time.Since(start)
 
-	st := lk.scorer.Stats()
-	delta := similarity.Stats{
-		BinComparisons:    st.BinComparisons - lk.prevStats.BinComparisons,
-		RecordComparisons: st.RecordComparisons - lk.prevStats.RecordComparisons,
-		AlibiBinPairs:     st.AlibiBinPairs - lk.prevStats.AlibiBinPairs,
-	}
+	st, prev := lk.scorer.Stats(), lk.prevStats
 	lk.prevStats = st
 	stats := Stats{
 		CandidatePairs:    nPairs,
 		PositiveEdges:     int64(len(links)),
-		BinComparisons:    delta.BinComparisons,
-		RecordComparisons: delta.RecordComparisons,
-		AlibiBinPairs:     delta.AlibiBinPairs,
+		BinComparisons:    st.BinComparisons - prev.BinComparisons,
+		RecordComparisons: st.RecordComparisons - prev.RecordComparisons,
+		AlibiBinPairs:     st.AlibiBinPairs - prev.AlibiBinPairs,
+		WindowsReselected: st.WindowsSelected - prev.WindowsSelected,
+		WindowsReplayed:   st.WindowsReplayed - prev.WindowsReplayed,
 		EdgeStore:         lk.edges.statsSnapshot(),
 	}
 	if lk.lshStats != nil {
@@ -557,18 +577,47 @@ func (lk *Linker) bruteDeltaPairs() []lsh.Pair {
 	return pairs
 }
 
+// selections resolves the cached selections of the n pairs about to be
+// scored, or returns nil before the linker streams (one-shot linkages
+// score without a cache).
+func (lk *Linker) selections(n int, pairAt func(int) lsh.Pair) []*similarity.Selection {
+	if !lk.streaming {
+		return nil
+	}
+	return lk.edges.selections(n, pairAt)
+}
+
+// scoreOne scores pair k, through its cached selection when sels is
+// non-nil. The selection's size change is added to grown so the edge
+// store's SelectionBytes stays exact.
+func (lk *Linker) scoreOne(sels []*similarity.Selection, k int, p lsh.Pair, grown *atomic.Int64) float64 {
+	if sels == nil {
+		return lk.scorer.Score(p.U, p.V)
+	}
+	sel := sels[k]
+	before := sel.Bytes()
+	s := lk.scorer.ScoreSelected(sel, p.U, p.V)
+	if d := sel.Bytes() - before; d != 0 {
+		grown.Add(d)
+	}
+	return s
+}
+
 // scorePairs scores the given pairs across the configured workers and
 // returns the per-pair scores (including non-positive ones, which the
 // edge store needs to drop stale edges). Every pair writes its own
-// output slot, so the result is deterministic.
-func (lk *Linker) scorePairs(pairs []lsh.Pair) []float64 {
+// output slot, so the result is deterministic. sels, when non-nil, holds
+// each pair's cached selection (see selections).
+func (lk *Linker) scorePairs(pairs []lsh.Pair, sels []*similarity.Selection) []float64 {
 	out := make([]float64, len(pairs))
+	var grown atomic.Int64
 	workers := lk.workerCount(len(pairs))
 	runChunks(workers, len(pairs), func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
-			out[k] = lk.scorer.Score(pairs[k].U, pairs[k].V)
+			out[k] = lk.scoreOne(sels, k, pairs[k], &grown)
 		}
 	})
+	lk.edges.selBytes += grown.Load()
 	return out
 }
 
@@ -769,23 +818,26 @@ func FilterLinks(links []Link, thr float64) []Link {
 // scoreIndexed fans the candidate pairs pairAt(0..total-1) across workers
 // and keeps positive edges. Each worker appends to its own result slot;
 // after the barrier the slots are concatenated and sorted by (U, V), so
-// the result is deterministic whichever worker scored which range.
-func (lk *Linker) scoreIndexed(total int, pairAt func(int) (EntityID, EntityID)) []matching.Edge {
+// the result is deterministic whichever worker scored which range. sels,
+// when non-nil, holds each pair's cached selection (see selections).
+func (lk *Linker) scoreIndexed(total int, pairAt func(int) lsh.Pair, sels []*similarity.Selection) []matching.Edge {
 	workers := lk.workerCount(total)
 	if workers == 0 {
 		return nil
 	}
 	results := make([][]matching.Edge, workers)
+	var grown atomic.Int64
 	runChunks(workers, total, func(w, lo, hi int) {
 		local := results[w]
 		for k := lo; k < hi; k++ {
-			u, v := pairAt(k)
-			if s := lk.scorer.Score(u, v); s > 0 {
-				local = append(local, matching.Edge{U: u, V: v, W: s})
+			p := pairAt(k)
+			if s := lk.scoreOne(sels, k, p, &grown); s > 0 {
+				local = append(local, matching.Edge{U: p.U, V: p.V, W: s})
 			}
 		}
 		results[w] = local
 	})
+	lk.edges.selBytes += grown.Load()
 	var edges []matching.Edge
 	for _, part := range results {
 		edges = append(edges, part...)
